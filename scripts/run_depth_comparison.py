@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     ap.add_argument("--corr", type=float, default=0.6)
     ap.add_argument("--restarts", type=int, default=2)
     ap.add_argument("--max-iter", type=int, default=300)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--outdir", default="results/depth_comparison")
     args = ap.parse_args(argv)
 
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
         em=EmConfig(restarts=args.restarts, max_iter=args.max_iter),
     )
     t0 = time.time()
-    res = run_experiment(cfg, threads=args.threads)
+    res = run_experiment(cfg)
     dt = time.time() - t0
 
     outdir = Path(args.outdir)

@@ -261,7 +261,9 @@ def _build_parser() -> _Parser:
     si = sub.add_parser("simulate", parents=[common, em],
                         help="run a built-in experiment protocol")
     si.add_argument("--config", required=True)
-    si.add_argument("--threads", type=int, default=1)
+    si.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility and ignored; "
+                    "replicates run serially")
     si.add_argument("--out", default=None, help="also write counts CSV here")
     si.add_argument("--edges-out", default=None, dest="edges_out",
                     help="write lattice cover edges CSV here")

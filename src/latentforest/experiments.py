@@ -5,8 +5,9 @@ BIC/sBIC selection over the 34 subforest classes of a fixed five leaf
 tree, with data drawn from a truth that sits strictly inside the
 lattice; ``depth_comparison`` draws random trivalent trees, plants a
 truth class at half depth, and checks whether greedy chain pruning
-recovers it exactly.  Every replicate derives its own seed from the
-master seed, so results do not depend on scheduling.
+recovers it exactly.  Replicates run one after another in a single
+thread; every replicate derives its own seed from the master seed, so
+results depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +29,7 @@ from .forests import (
     subforest_lattice,
 )
 from .gaussian import EmConfig, ModelParams, covariance, sample, suff_stats
-from .selection import em_fit, pair_rlct, pruned_chain, sbic_all
+from .selection import em_fit, pruned_chain, sbic_all
 
 
 def lattice5_host() -> Forest:
@@ -100,7 +100,7 @@ def random_subforest_at_depth(t: Forest, depth: int, seed) -> CanonicalForest:
 # --------------------------------------------------------------------------
 # experiment configuration and results
 
-KINDS = ("lattice5", "depth_comparison", "custom")
+KINDS = ("lattice5", "depth_comparison")
 
 
 @dataclass(frozen=True)
@@ -203,30 +203,20 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run a built-in protocol; see the module doc for what each does.
 
-    Replicates may execute on a thread pool, but every replicate owns a
-    seed derived from (master seed, replicate index), and aggregation
-    happens in index order, so the output is identical for any
-    ``threads`` value.
+    Replicates run serially, each on a seed derived from the master
+    seed and its replicate index.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     if cfg.kind == "lattice5":
-        return _run_lattice5(cfg, threads)
-    if cfg.kind == "depth_comparison":
-        return _run_depth_comparison(cfg, threads)
-    raise ValueError("kind 'custom' has no built-in protocol")
-
-
-def _pool_map(fn, args, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
+        return _run_lattice5(cfg)
+    return _run_depth_comparison(cfg)
 
 
 def _seed_int(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _run_lattice5(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_lattice5(cfg: ExperimentConfig) -> ExperimentResult:
     host = lattice5_host()
     lat = subforest_lattice(host)
     truth = lat.classes[lattice5_truth_index(lat)]
@@ -235,12 +225,6 @@ def _run_lattice5(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         leaf_var={v: 1.0 for v in host.observed},
         edge_corr={e: cfg.corr for e in rep_forest.edges},
     )
-
-    # warm the pair cache once; replicates then share it read-only
-    k = len(lat.classes)
-    for j in range(k):
-        for i in lat.strictly_below(j) + [j]:
-            pair_rlct(lat, i, j)
 
     def one(job: tuple[int, int]) -> tuple[int, int, int, int]:
         r, n = job
@@ -254,13 +238,13 @@ def _run_lattice5(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         return (r, n, table.best("bic"), table.best("sbic"))
 
     jobs = [(r, n) for n in cfg.n_values for r in range(cfg.replicates)]
-    picks = _pool_map(one, jobs, threads)
-    picks.sort()
+    picks = [one(job) for job in jobs]
 
     tally: dict[tuple[str, int, int], int] = {}
     for _, n, b, s in picks:
         tally[("bic", n, b)] = tally.get(("bic", n, b), 0) + 1
         tally[("sbic", n, s)] = tally.get(("sbic", n, s), 0) + 1
+    k = len(lat.classes)
     rows = tuple(
         CountRow(crit, n, lat.code_string(j), tally.get((crit, n, j), 0))
         for crit in ("bic", "sbic")
@@ -275,9 +259,7 @@ def _run_lattice5(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     )
 
 
-def _run_depth_comparison(
-    cfg: ExperimentConfig, threads: int
-) -> ExperimentResult:
+def _run_depth_comparison(cfg: ExperimentConfig) -> ExperimentResult:
     def one(job: tuple[int, int]) -> list[tuple[str, int, str, bool]]:
         m, r = job
         tree = random_trivalent_tree(
@@ -307,7 +289,7 @@ def _run_depth_comparison(
         return out
 
     jobs = [(m, r) for m in cfg.m for r in range(cfg.replicates)]
-    results = _pool_map(one, jobs, threads)
+    results = [one(job) for job in jobs]
 
     tally: dict[tuple[str, int, str], int] = {}
     for chunk in results:

@@ -33,11 +33,7 @@ from fractions import Fraction
 
 from .engine import MonomialSos, Rlct
 from .errors import LeafMismatch, NotSubforest
-from .forests import CanonicalForest, Forest, model_dimension
-
-
-def _as_forest(f) -> Forest:
-    return f.forest if isinstance(f, CanonicalForest) else f
+from .forests import Forest, _as_forest, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:

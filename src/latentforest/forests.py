@@ -8,7 +8,7 @@ isomorphic by a map that fixes the observed labels.
 
 The module provides
 
-* validated construction (``build_forest``) and JSON / DOT round trips,
+* validated construction (``build_forest``) and JSON round trips,
 * reduction to a canonical form with no latent node of degree <= 2
   (``canonicalize``), together with a stable leaf-anchored code,
 * the model dimension count ``|V| + |E| - l2``,
@@ -139,22 +139,6 @@ class Forest:
             }
         )
 
-    def to_dot(self) -> str:
-        """Graphviz rendering with latent nodes drawn as open circles."""
-        lines = ["graph forest {"]
-        for v in self.nodes:
-            style = (
-                "shape=circle, style=filled, fillcolor=white"
-                if v in self.latent
-                else "shape=plaintext"
-            )
-            lines.append(f'  "{v}" [{style}];')
-        for e in self.edges:
-            u, v = sorted(e)
-            lines.append(f'  "{u}" -- "{v}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_forest(nodes, edges) -> Forest:
     """Validate and build a :class:`Forest`.
@@ -246,6 +230,10 @@ class CanonicalForest:
 
     def __hash__(self) -> int:
         return hash(self.code)
+
+
+def _as_forest(f: Forest | CanonicalForest) -> Forest:
+    return f.forest if isinstance(f, CanonicalForest) else f
 
 
 def _dumps(obj) -> str:
@@ -384,8 +372,7 @@ def model_dimension(f: Forest | CanonicalForest) -> int:
     V are the observed nodes and l2 counts nodes of degree exactly 2
     (such nodes can only be latent, observed nodes being leaves).
     """
-    if isinstance(f, CanonicalForest):
-        f = f.forest
+    f = _as_forest(f)
     l2 = sum(1 for v in f.nodes if f.degree(v) == 2)
     return len(f.observed) + len(f.edges) - l2
 
@@ -489,12 +476,12 @@ class ModelLattice:
     model numbers 1..34 shifted by one.
 
     ``below[i]`` is a bitmask over class indices j with class_j <=
-    class_i, including i itself.
+    class_i, including i itself.  A pruning chain is scored as the
+    totally ordered lattice of its classes, listed bottom up.
     """
 
     host: Forest
     classes: tuple[CanonicalForest, ...]
-    masks: tuple[tuple[int, ...], ...]
     steiner_masks: tuple[int, ...]
     below: tuple[int, ...]
     depth: tuple[int, ...]
@@ -624,7 +611,6 @@ def subforest_lattice(host: Forest) -> ModelLattice:
     return ModelLattice(
         host=host,
         classes=tuple(reps[c] for c in order_codes),
-        masks=tuple(tuple(sorted(by_code[c])) for c in order_codes),
         steiner_masks=tuple(steiner[c] for c in order_codes),
         below=tuple(below),
         depth=tuple(depth),

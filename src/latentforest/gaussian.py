@@ -19,11 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .engine import MonomialSos
 from .errors import NotPositiveDefinite, UnrealizablePattern, UnknownNode
-from .forests import CanonicalForest, Edge, Forest, edge
-
-
-def _as_forest(f) -> Forest:
-    return f.forest if isinstance(f, CanonicalForest) else f
+from .forests import Edge, Forest, _as_forest, edge
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -26,6 +26,7 @@ from .forests import (
     CanonicalForest,
     Forest,
     ModelLattice,
+    _as_forest,
     build_forest,
     canonicalize,
     connected_observed_pairs,
@@ -427,12 +428,6 @@ def _warm_start(
     return ModelParams(leaf_var=leaf_var, edge_corr=corr)
 
 
-def _steiner_code(host: Forest, cls: CanonicalForest) -> str:
-    rep = steiner_subforest(host, cls)
-    present = rep.edge_set
-    return " ".join("1" if e in present else "0" for e in host.edges)
-
-
 def pruned_chain(
     host: Forest,
     stats: SufficientStats,
@@ -448,7 +443,7 @@ def pruned_chain(
     """
     cfg = config or EmConfig()
     n = stats.n
-    top = canonicalize(_as_plain(host))
+    top = canonicalize(_as_forest(host))
     fit = em_fit(top, stats, cfg)
     chain: list[CanonicalForest] = [top]
     lls: list[float] = [fit.loglik]
@@ -473,41 +468,27 @@ def pruned_chain(
 
     # score the chain as a totally ordered lattice, bottom up
     size = len(chain)
-    host_f = _as_plain(host)
-    reps = [steiner_subforest(host_f, c) for c in chain]
-    pats = [connected_observed_pairs(c.forest) for c in chain]
-    cache: dict[tuple[int, int], Rlct] = {}
-
-    def lp(i: int, j: int) -> float:
-        # positions count from the bottom: element i is chain[size-1-i]
-        pi, pj = size - 1 - i, size - 1 - j
-        r = cache.get((pi, pj))
-        if r is None:
-            r = rlct_forest_pair(reps[pj], q_forest(reps[pj], pats[pi]))
-            cache[pi, pj] = r
-        logn = math.log(n)
-        return (
-            lls[pj]
-            - 0.5 * float(r.lam) * logn
-            + (r.mult - 1) * math.log(logn)
-        )
-
-    xs = _solve_sbic([list(range(j)) for j in range(size)], lp)
-    rows = []
-    for pos, cls in enumerate(chain):
-        dim = model_dimension(cls)
-        rows.append(
-            ScoreRow(
-                index=pos,
-                code=_steiner_code(host_f, cls),
-                dim=dim,
-                loglik=lls[pos],
-                bic=bic(lls[pos], dim, n),
-                sbic=xs[size - 1 - pos],
-                params=fitted[pos],
-            )
-        )
-    table = ScoreTable(n=n, rows=tuple(rows))
+    host_f = _as_forest(host)
+    bottom_up = chain[::-1]
+    reps = [steiner_subforest(host_f, c).edge_set for c in bottom_up]
+    lat = ModelLattice(
+        host=host_f,
+        classes=tuple(bottom_up),
+        steiner_masks=tuple(
+            sum(1 << b for b, e in enumerate(host_f.edges) if e in rep)
+            for rep in reps
+        ),
+        below=tuple((1 << (j + 1)) - 1 for j in range(size)),
+        depth=tuple(range(size)),
+    )
+    scored = sbic_all(lat, lls[::-1], n, params=fitted[::-1])
+    table = ScoreTable(
+        n=n,
+        rows=tuple(
+            replace(scored.rows[size - 1 - pos], index=pos)
+            for pos in range(size)
+        ),
+    )
     return ChainResult(
         chain=tuple(chain),
         table=table,
@@ -515,6 +496,3 @@ def pruned_chain(
         selected_sbic=chain[table.best("sbic")],
     )
 
-
-def _as_plain(f) -> Forest:
-    return f.forest if isinstance(f, CanonicalForest) else f

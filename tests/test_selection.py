@@ -19,17 +19,26 @@ from latentforest import (
     bic,
     build_forest,
     canonicalize,
+    connected_observed_pairs,
     covariance,
     edge,
     initial_tree,
     log_lprime,
     model_dimension,
+    model_loglik,
     pair_rlct,
     pruned_chain,
+    q_forest,
+    random_subforest_at_depth,
+    random_trivalent_tree,
+    rlct_forest_pair,
+    sample,
     sbic_all,
     score_lattice,
     select_exhaustive,
+    steiner_subforest,
     subforest_lattice,
+    suff_stats,
     suff_stats_from_cov,
 )
 from latentforest.selection import _as_logliks, _drop_edge, _solve_sbic, _warm_start
@@ -395,3 +404,43 @@ class TestPrunedChain:
         assert got.edge_corr[edge("1", "2")] == pytest.approx(0.5 * -0.6)
         assert got.edge_corr[edge("3", "4")] == pytest.approx(0.7 * 0.4)
         assert got.leaf_var == quartet_params().leaf_var
+
+    def test_sbic_matches_direct_pair_formula(self):
+        # seven leaves, truth at half depth: some pruning step of this
+        # chain drops several host edges at once
+        tree = random_trivalent_tree(7, 4)
+        truth = random_subforest_at_depth(tree, 3, 0)
+        rep = steiner_subforest(tree, truth)
+        params = ModelParams(
+            leaf_var={v: 1.0 for v in tree.observed},
+            edge_corr={e: 0.6 for e in rep.edges},
+        )
+        stats = suff_stats(sample(rep, params, 200, seed=1), names=rep.observed)
+        res = pruned_chain(tree, stats, EmConfig(restarts=1, max_iter=300, seed=2))
+        reps = [steiner_subforest(tree, c) for c in res.chain]
+        assert max(
+            len(a.edge_set - b.edge_set) for a, b in zip(reps, reps[1:])
+        ) >= 2
+
+        # chain positions run top down; the solver wants them bottom up
+        size, logn = len(res.chain), math.log(stats.n)
+
+        def lp(i: int, j: int) -> float:
+            sub, sup = size - 1 - i, size - 1 - j
+            pat = connected_observed_pairs(res.chain[sub].forest)
+            r = rlct_forest_pair(reps[sup], q_forest(reps[sup], pat))
+            return (
+                res.table.rows[sup].loglik
+                - 0.5 * float(r.lam) * logn
+                + (r.mult - 1) * math.log(logn)
+            )
+
+        xs = _solve_sbic([list(range(j)) for j in range(size)], lp)
+        for pos, row in enumerate(res.table.rows):
+            cls = res.chain[pos]
+            assert row.index == pos
+            assert row.sbic == xs[size - 1 - pos]
+            assert set(row.params.edge_corr) == set(cls.forest.edges)
+            assert row.loglik == pytest.approx(
+                model_loglik(cls, row.params, stats), rel=1e-9
+            )
