@@ -14,8 +14,8 @@ The module provides
 * the model dimension count ``|V| + |E| - l2``,
 * the minimal subforest inducing a given correlation pattern
   (``q_forest``) and its relative ``steiner_subforest``,
-* exhaustive enumeration of the lattice of subforest classes
-  (``subforest_lattice``).
+* enumeration of the lattice of subforest classes by their minimal
+  edge masks (``subforest_lattice``).
 """
 
 from __future__ import annotations
@@ -303,32 +303,38 @@ def canonicalize(f: Forest) -> CanonicalForest:
 
     observed = [v for v in f.nodes if v not in latent]
 
-    # Leaf-anchored code objects: latent identity is erased, observed ids
-    # are kept, children are sorted by their serialized code.  Each
-    # component is rooted at its smallest observed id.
-    def code_obj(v: str, par: str | None):
-        children = sorted(
-            (code_obj(w, v) for w in adj[v] if w != par), key=_dumps
-        )
-        if v in latent:
-            return ["h", children]
-        return ["o", v, children] if children else ["o", v]
-
+    # Leaf-anchored codes: latent identity is erased, observed ids are
+    # kept, children are sorted by code.  Each component is rooted at
+    # its smallest observed id (the first one reached in sorted order);
+    # one post-order pass builds every subtree code from its children's,
+    # and ``kids`` keeps each node's children in code order for the
+    # relabelling walk below.
+    kids: dict[str, list[str]] = {}
     comps: list[tuple[str, str]] = []  # (component code, root)
-    done: set[str] = set()
-    for v in observed:
-        if v in done:
+    parent: dict[str, str | None] = {}
+    for root in sorted(observed):
+        if root in parent:
             continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        done |= comp
-        root = min(x for x in comp if x not in latent)
-        comps.append((_dumps(code_obj(root, None)), root))
+        parent[root] = None
+        order = [root]
+        for x in order:
+            for w in adj[x]:
+                if w != parent[x]:
+                    parent[w] = x
+                    order.append(w)
+        sub: dict[str, str] = {}
+        for x in reversed(order):
+            kids[x] = sorted(
+                (w for w in adj[x] if w != parent[x]), key=sub.__getitem__
+            )
+            inner = ",".join(sub.pop(w) for w in kids[x])
+            if x in latent:
+                sub[x] = '["h",[' + inner + "]]"
+            elif kids[x]:
+                sub[x] = '["o",' + _dumps(x) + ",[" + inner + "]]"
+            else:
+                sub[x] = '["o",' + _dumps(x) + "]"
+        comps.append((sub[root], root))
     comps.sort()
     code = _dumps([c for c, _ in comps])
 
@@ -344,11 +350,7 @@ def canonicalize(f: Forest) -> CanonicalForest:
                 latent_order.append(v)
             if par is not None:
                 walk.append((v, par))
-            children = sorted(
-                (w for w in adj[v] if w != par),
-                key=lambda w: _dumps(code_obj(w, v)),
-            )
-            for w in reversed(children):
+            for w in reversed(kids[v]):
                 stack.append((w, v))
 
     names = dict(
@@ -468,12 +470,15 @@ def steiner_subforest(host: Forest, sub: CanonicalForest) -> Forest:
 class ModelLattice:
     """All subforest classes of a host tree, partially ordered.
 
-    Classes are indexed 0..k-1 in increasing order of their minimal
-    edge-subset mask read as an integer (first declared edge = lowest
-    bit).  Since a subclass has a strictly smaller minimal mask, the
-    index order is a linear extension of the lattice order.  For the
-    standard five-leaf example this numbering matches the conventional
-    model numbers 1..34 shifted by one.
+    Each class is identified by its Steiner mask ``steiner_masks[i]``:
+    the minimal host edge subset realizing it, read as an integer
+    (first declared edge = lowest bit), in which no latent node has
+    exactly one edge.  Classes are indexed 0..k-1 in increasing mask
+    order, and class_i <= class_j exactly when mask_i is a subset of
+    mask_j.  Since a subclass has a strictly smaller mask, the index
+    order is a linear extension of the lattice order.  For the standard
+    five-leaf example this numbering matches the conventional model
+    numbers 1..34 shifted by one.
 
     ``below[i]`` is a bitmask over class indices j with class_j <=
     class_i, including i itself.  A pruning chain is scored as the
@@ -549,10 +554,16 @@ def _subforest_of_mask(host: Forest, mask: int) -> Forest:
 def subforest_lattice(host: Forest) -> ModelLattice:
     """Enumerate all subforest classes of a canonical host.
 
-    Every one of the 2^|E| edge subsets is canonicalized; subsets with
-    equal code form one class.  The order relation is the transitive
-    closure of single-edge removal between classes, which agrees with
-    representative-wise edge-subset containment.
+    A class is fixed by its pattern of connected observed pairs.  Its
+    minimal representative is the union of the host paths joining those
+    pairs, and that union has no latent leaf.  Conversely, an edge mask
+    in which no latent node has exactly one edge is the path union of
+    its own pattern: walking away from any of its edges in both
+    directions ends at observed leaves.  Masks without a latent leaf and
+    classes therefore correspond one to one, and class_i <= class_j
+    exactly when mask_i is a subset of mask_j.  Only those masks are
+    canonicalized; ``below`` comes from subset tests and ``depth`` from
+    the longest chain below each mask.
     """
     if any(host.degree(v) <= 2 for v in host.latent):
         raise ValueError(
@@ -562,56 +573,34 @@ def subforest_lattice(host: Forest) -> ModelLattice:
     if ne > LATTICE_EDGE_BOUND:
         raise TooLarge(f"host has {ne} edges, bound is {LATTICE_EDGE_BOUND}")
 
-    by_code: dict[str, list[int]] = {}
-    reps: dict[str, CanonicalForest] = {}
-    code_of_mask: list[str] = []
+    incident = [
+        sum(1 << b for b, e in enumerate(host.edges) if v in e)
+        for v in host.latent
+    ]
+    masks: list[int] = []
     for mask in range(1 << ne):
-        c = canonicalize(_subforest_of_mask(host, mask))
-        code_of_mask.append(c.code)
-        by_code.setdefault(c.code, []).append(mask)
-        reps.setdefault(c.code, c)
+        for inc in incident:
+            hit = mask & inc
+            if hit and not hit & (hit - 1):
+                break
+        else:
+            masks.append(mask)
 
-    # minimal representative = intersection of all masks in the class
-    steiner: dict[str, int] = {}
-    for code, masks in by_code.items():
-        m = masks[0]
-        for x in masks[1:]:
-            m &= x
-        steiner[code] = m
-    order_codes = sorted(by_code, key=lambda c: steiner[c])
-    index = {c: i for i, c in enumerate(order_codes)}
-
-    k = len(order_codes)
-    below = [1 << i for i in range(k)]
-    for mask in range(1 << ne):
-        j = index[code_of_mask[mask]]
-        bits = mask
-        while bits:
-            b = bits & -bits
-            i = index[code_of_mask[mask & ~b]]
-            if i != j:
-                below[j] |= 1 << i
-            bits &= ~b
-
-    # close transitively; index order is already a linear extension
-    depth = [0] * k
-    for j in range(k):
-        acc = below[j]
-        best = -1
-        bits = below[j] & ~(1 << j)
-        while bits:
-            b = bits & -bits
-            i = b.bit_length() - 1
-            acc |= below[i]
-            best = max(best, depth[i])
-            bits &= ~b
-        below[j] = acc
-        depth[j] = best + 1
+    # a proper subset is a smaller integer, so only earlier masks can
+    # lie below, and the index order is a linear extension
+    below: list[int] = []
+    depth: list[int] = []
+    for j, mask in enumerate(masks):
+        strict = [i for i in range(j) if not masks[i] & ~mask]
+        below.append(sum(1 << i for i in strict) | 1 << j)
+        depth.append(max((depth[i] for i in strict), default=-1) + 1)
 
     return ModelLattice(
         host=host,
-        classes=tuple(reps[c] for c in order_codes),
-        steiner_masks=tuple(steiner[c] for c in order_codes),
+        classes=tuple(
+            canonicalize(_subforest_of_mask(host, mask)) for mask in masks
+        ),
+        steiner_masks=tuple(masks),
         below=tuple(below),
         depth=tuple(depth),
     )

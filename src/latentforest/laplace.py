@@ -90,7 +90,6 @@ def _blocks(terms: list[tuple[tuple[int, ...], float]], dim: int):
 
 
 def _restrict(terms, coords):
-    pos = {c: j for j, c in enumerate(coords)}
     out = []
     for u, c in terms:
         if any(u[i] for i in coords):

@@ -29,12 +29,11 @@ from .forests import (
     _as_forest,
     build_forest,
     canonicalize,
-    connected_observed_pairs,
     model_dimension,
-    q_forest,
     steiner_subforest,
     subforest_lattice,
     _fresh_latent_names,
+    _subforest_of_mask,
 )
 from .gaussian import EmConfig, ModelParams, SufficientStats, em_fit
 
@@ -51,8 +50,9 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     Both arguments are lattice indices with sub <= sup in the lattice
     order.  The pair is evaluated on the Steiner representative of the
     superclass inside the host (degree-two chains intact), which is the
-    parameter space the superclass model actually uses there.  Results
-    are memoized on ``lattice.rlct_cache``.
+    parameter space the superclass model actually uses there; the
+    subclass is its own Steiner mask, which lies inside that one.
+    Results are memoized on ``lattice.rlct_cache``.
     """
     if not lattice.leq(sub, sup):
         raise NotComparable(
@@ -62,9 +62,11 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     hit = lattice.rlct_cache.get(key)
     if hit is not None:
         return hit
-    rep = steiner_subforest(lattice.host, lattice.classes[sup])
-    pat = connected_observed_pairs(lattice.classes[sub].forest)
-    out = rlct_forest_pair(rep, q_forest(rep, pat))
+    host, masks = lattice.host, lattice.steiner_masks
+    out = rlct_forest_pair(
+        _subforest_of_mask(host, masks[sup]),
+        _subforest_of_mask(host, masks[sub]),
+    )
     lattice.rlct_cache[key] = out
     return out
 

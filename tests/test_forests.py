@@ -20,9 +20,11 @@ from latentforest import (
     forest_from_json,
     model_dimension,
     q_forest,
+    random_trivalent_tree,
     steiner_subforest,
     subforest_lattice,
 )
+from latentforest.forests import _subforest_of_mask
 from conftest import random_forest
 
 
@@ -180,6 +182,75 @@ class TestCanonicalize:
             c.forest
         )
 
+    def test_code_format_quartet(self, quartet):
+        c = canonicalize(quartet)
+        assert c.code == (
+            '["[\\"o\\",\\"1\\",[[\\"h\\",[[\\"h\\",[[\\"o\\",\\"3\\"],'
+            '[\\"o\\",\\"4\\"]]],[\\"o\\",\\"2\\"]]]]]"]'
+        )
+        assert c.forest.nodes == ("1", "2", "3", "4", "h1", "h2")
+        assert c.forest.latent == {"h1", "h2"}
+        assert c.forest.edges == (
+            edge("1", "h1"),
+            edge("h1", "h2"),
+            edge("3", "h2"),
+            edge("4", "h2"),
+            edge("2", "h1"),
+        )
+        assert c.edge_sources == (
+            (edge("1", "a"),),
+            (edge("a", "b"),),
+            (edge("3", "b"),),
+            (edge("4", "b"),),
+            (edge("2", "a"),),
+        )
+
+    def test_code_format_contracted(self, five_tree):
+        sub = Forest(
+            nodes=five_tree.nodes,
+            latent=five_tree.latent,
+            edges=tuple(e for e in five_tree.edges if e != edge("3", "c")),
+        )
+        c = canonicalize(sub)
+        assert c.code == (
+            '["[\\"o\\",\\"1\\",[[\\"h\\",[[\\"h\\",[[\\"o\\",\\"2\\"],'
+            '[\\"o\\",\\"4\\"]]],[\\"o\\",\\"5\\"]]]]]","[\\"o\\",\\"3\\"]"]'
+        )
+        assert c.forest.nodes == ("1", "2", "3", "4", "5", "h1", "h2")
+        assert c.forest.latent == {"h1", "h2"}
+        assert c.forest.edges == (
+            edge("1", "h1"),
+            edge("h1", "h2"),
+            edge("2", "h2"),
+            edge("4", "h2"),
+            edge("5", "h1"),
+        )
+        assert c.edge_sources == (
+            (edge("1", "a"),),
+            (edge("a", "b"),),
+            (edge("2", "c"), edge("b", "c")),
+            (edge("4", "b"),),
+            (edge("5", "a"),),
+        )
+
+    def test_long_caterpillar(self):
+        # deep enough to overflow a recursive code builder
+        m = 1000
+        leaves = [f"x{i}" for i in range(m)]
+        spine = [f"z{i}" for i in range(m - 2)]
+        edges = [(spine[0], leaves[0]), (spine[-1], leaves[-1])]
+        edges += [(z, x) for z, x in zip(spine, leaves[1:])]
+        edges += list(zip(spine, spine[1:]))
+        f = build_forest(
+            [(v, False) for v in leaves] + [(z, True) for z in spine], edges
+        )
+        c = canonicalize(f)
+        assert c.forest.observed == tuple(leaves)
+        assert len(c.forest.edges) == len(f.edges)
+        again = canonicalize(c.forest)
+        assert again == c
+        assert again.forest.edges == c.forest.edges
+
 
 class TestModelDimension:
     def test_empty(self):
@@ -297,6 +368,98 @@ class TestLattice:
         i = lat.class_index(canonicalize(_mask_forest(quartet, small)))
         j = lat.class_index(canonicalize(_mask_forest(quartet, bigger)))
         assert lat.leq(i, j)
+
+
+def brute_force_lattice(host):
+    """Reference lattice from the definition of a class.
+
+    Canonicalizes every edge subset of ``host``, groups subsets by
+    code, takes each class's minimal mask as the intersection of its
+    group, and orders classes by the transitive closure of single-edge
+    removal.  Returns (codes, masks, below, depth) in mask order.
+    """
+    ne = len(host.edges)
+    by_code = {}
+    code_of_mask = []
+    for mask in range(1 << ne):
+        code = canonicalize(_subforest_of_mask(host, mask)).code
+        code_of_mask.append(code)
+        by_code.setdefault(code, []).append(mask)
+    steiner = {}
+    for code, masks in by_code.items():
+        m = masks[0]
+        for x in masks[1:]:
+            m &= x
+        steiner[code] = m
+    codes = sorted(by_code, key=steiner.__getitem__)
+    index = {c: i for i, c in enumerate(codes)}
+    k = len(codes)
+    below = [1 << i for i in range(k)]
+    for mask in range(1 << ne):
+        j = index[code_of_mask[mask]]
+        for b in range(ne):
+            if (mask >> b) & 1:
+                below[j] |= 1 << index[code_of_mask[mask & ~(1 << b)]]
+    depth = [0] * k
+    for j in range(k):
+        strict = [i for i in range(j) if (below[j] >> i) & 1]
+        for i in strict:
+            below[j] |= below[i]
+        depth[j] = max((depth[i] for i in strict), default=-1) + 1
+    return codes, [steiner[c] for c in codes], below, depth
+
+
+def _oracle_hosts():
+    hosts = [
+        pytest.param(random_trivalent_tree(m, s), id=f"trivalent-{m}-{s}")
+        for m in range(3, 8)
+        for s in (0, 1)
+    ]
+    hosts.append(
+        pytest.param(random_trivalent_tree(8, 0), id="trivalent-8-0")
+    )
+    hosts.append(
+        pytest.param(
+            build_forest(
+                [(str(i), False) for i in range(1, 5)] + [("h", True)],
+                [("h", str(i)) for i in range(1, 5)],
+            ),
+            id="star-4",
+        )
+    )
+    hosts.append(
+        pytest.param(
+            build_forest(
+                [(str(i), False) for i in range(1, 6)]
+                + [("a", True), ("b", True)],
+                [("a", "1"), ("a", "2"), ("a", "b"), ("b", "3"), ("a", "4"),
+                 ("b", "5")],
+            ),
+            id="degree-4-and-3",
+        )
+    )
+    hosts.append(
+        pytest.param(
+            build_forest(
+                [(str(i), False) for i in range(1, 7)]
+                + [("g", True), ("h", True)],
+                [("g", "1"), ("h", "4"), ("g", "2"), ("h", "5"), ("g", "3"),
+                 ("h", "6")],
+            ),
+            id="two-components",
+        )
+    )
+    return hosts
+
+
+@pytest.mark.parametrize("host", _oracle_hosts())
+def test_lattice_matches_brute_force(host):
+    codes, masks, below, depth = brute_force_lattice(host)
+    lat = subforest_lattice(host)
+    assert [c.code for c in lat.classes] == codes
+    assert list(lat.steiner_masks) == masks
+    assert list(lat.below) == below
+    assert list(lat.depth) == depth
 
 
 def _mask_forest(host, mask):

@@ -139,6 +139,27 @@ class TestPairRlct:
         with pytest.raises(NotComparable):
             pair_rlct(lat, 4, 0)
 
+    def test_matches_steiner_route(self, five_tree):
+        # the Steiner-mask route equals q_forest of the subclass pattern
+        # inside the realized superclass, on every comparable pair
+        lat = subforest_lattice(five_tree)
+        F = __import__("fractions").Fraction
+        pairs = 0
+        for j in range(len(lat)):
+            rep = steiner_subforest(five_tree, lat.classes[j])
+            for i in range(len(lat)):
+                if not lat.leq(i, j):
+                    continue
+                sub = q_forest(
+                    rep, connected_observed_pairs(lat.classes[i].forest)
+                )
+                want = rlct_forest_pair(rep, sub)
+                got = pair_rlct(lat, i, j)
+                assert isinstance(got.lam, F)
+                assert (got.lam, got.mult) == (want.lam, want.mult)
+                pairs += 1
+        assert pairs > len(lat)
+
     def test_memoized(self):
         lat = subforest_lattice(star3())
         first = pair_rlct(lat, 0, 4)
