@@ -126,9 +126,6 @@ class Forest:
             x = parent[x]
         return tuple(reversed(out))
 
-    def connected(self, u: str, v: str) -> bool:
-        return v in self.component_of(u)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -257,7 +254,6 @@ def canonicalize(f: Forest) -> CanonicalForest:
     Observed nodes are never touched.  Latent nodes are then relabeled
     deterministically as h1, h2, ...
     """
-    alive = set(f.nodes)
     latent = set(f.latent)
     adj: dict[str, set[str]] = {v: set() for v in f.nodes}
     sources: dict[Edge, tuple[Edge, ...]] = {}
@@ -272,34 +268,26 @@ def canonicalize(f: Forest) -> CanonicalForest:
         adj[v].discard(u)
         del sources[edge(u, v)]
 
-    changed = True
-    while changed:
-        changed = False
-        # rule (i): delete latent nodes of degree <= 1
-        queue = [v for v in alive if v in latent and len(adj[v]) <= 1]
-        while queue:
-            v = queue.pop()
-            if v not in alive:
-                continue
-            for w in list(adj[v]):
-                drop_edge(v, w)
-                if w in latent and len(adj[w]) <= 1:
-                    queue.append(w)
-            alive.discard(v)
-            changed = True
-        # rule (ii): contract one latent node of degree 2, then rescan
-        for v in alive:
-            if v in latent and len(adj[v]) == 2:
-                p, q = sorted(adj[v])
-                merged = sources[edge(v, p)] + sources[edge(v, q)]
-                drop_edge(v, p)
-                drop_edge(v, q)
-                alive.discard(v)
-                adj[p].add(q)
-                adj[q].add(p)
-                sources[edge(p, q)] = merged
-                changed = True
-                break
+    # rule (i): delete latent nodes of degree <= 1, to a fixpoint
+    queue = [v for v in f.nodes if v in latent and len(adj[v]) <= 1]
+    while queue:
+        v = queue.pop()
+        for w in list(adj[v]):
+            drop_edge(v, w)
+            if w in latent and len(adj[w]) <= 1:
+                queue.append(w)
+    # rule (ii): contract each latent node of degree 2, in f.nodes order.
+    # Contracting v keeps the degrees of its two neighbours and makes no
+    # latent leaf, so one pass reaches the fixpoint of both rules.
+    for v in f.nodes:
+        if v in latent and len(adj[v]) == 2:
+            p, q = sorted(adj[v])
+            merged = sources[edge(v, p)] + sources[edge(v, q)]
+            drop_edge(v, p)
+            drop_edge(v, q)
+            adj[p].add(q)
+            adj[q].add(p)
+            sources[edge(p, q)] = merged
 
     observed = [v for v in f.nodes if v not in latent]
 

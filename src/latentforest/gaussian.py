@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -20,6 +19,11 @@ from scipy.linalg import cho_factor, cho_solve
 from .engine import MonomialSos
 from .errors import NotPositiveDefinite, UnrealizablePattern, UnknownNode
 from .forests import Edge, Forest, _as_forest, edge
+
+#: The M-step keeps every edge correlation inside [-1 + CORR_CLAMP,
+#: 1 - CORR_CLAMP] and every imputed variance at or above VAR_FLOOR.
+CORR_CLAMP = 1e-9
+VAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,6 @@ class EmConfig:
     rel_tol: float = 1e-9
     restarts: int = 5
     seed: int = 0
-    corr_clamp: float = 1e-9
-    var_floor: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,38 +103,56 @@ def _validate_params(f: Forest, params: ModelParams) -> None:
         raise UnknownNode("params carry keys that are not in the forest")
 
 
+def _walks(f: Forest) -> list[np.ndarray]:
+    """Breadth-first walks from every node, one index array per depth.
+
+    Depth d holds the steps (start, node, parent, edge) to nodes d edges
+    from start, in ``Forest.neighbors`` order, so path products multiply
+    edges in ``Forest.path`` order.
+    """
+    index = {v: i for i, v in enumerate(f.nodes)}
+    eidx = {e: i for i, e in enumerate(f.edges)}
+    levels: dict[int, list[tuple[int, int, int, int]]] = {}
+    for start in f.nodes:
+        depth = {start: 0}
+        queue = [start]
+        for v in queue:
+            for w in f.neighbors[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+                    step = (index[start], index[w], index[v], eidx[edge(v, w)])
+                    levels.setdefault(depth[w], []).append(step)
+    return [np.array(steps).T for steps in levels.values()]
+
+
+def _joint(walks, scale: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D R D over all nodes, R the path products of the edge correlations."""
+    corr = np.eye(len(scale))
+    for start, node, parent, e in walks:
+        corr[start, node] = corr[start, parent] * rho[e]
+    return corr * np.outer(scale, scale)
+
+
+def _vectors(f: Forest, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Check params; return root variances (one if latent) and edge correlations."""
+    _validate_params(f, params)
+    var = np.array([params.leaf_var.get(v, 1.0) for v in f.nodes], dtype=float)
+    return var, np.array([params.edge_corr[e] for e in f.edges], dtype=float)
+
+
 def joint_covariance(forest, params: ModelParams) -> np.ndarray:
     """Covariance over all nodes, ordered as forest.nodes."""
     f = _as_forest(forest)
-    _validate_params(f, params)
-    nodes = f.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
-    corr = np.eye(k)
-    for start in nodes:
-        si = index[start]
-        seen = {start}
-        queue = deque([(start, 1.0)])
-        while queue:
-            v, rho = queue.popleft()
-            for w in f.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    r = rho * params.edge_corr[edge(v, w)]
-                    corr[si, index[w]] = r
-                    queue.append((w, r))
-    scale = np.sqrt(
-        [params.leaf_var[v] if v in params.leaf_var else 1.0 for v in nodes]
-    )
-    return corr * np.outer(scale, scale)
+    var, rho = _vectors(f, params)
+    return _joint(_walks(f), np.sqrt(var), rho)
 
 
 def covariance(forest, params: ModelParams) -> np.ndarray:
     """Model covariance of the observed nodes, ordered as forest.observed."""
     f = _as_forest(forest)
-    joint = joint_covariance(f, params)
     idx = [f.nodes.index(v) for v in f.observed]
-    return joint[np.ix_(idx, idx)]
+    return joint_covariance(f, params)[np.ix_(idx, idx)]
 
 
 def sample(forest, params: ModelParams, n: int, seed=None) -> np.ndarray:
@@ -178,11 +198,8 @@ def _aligned_moment(stats: SufficientStats, order) -> np.ndarray:
     return stats.second_moment[np.ix_(perm, perm)]
 
 
-def loglik(cov, stats: SufficientStats) -> float:
-    """Gaussian log-likelihood of zero-mean data with the given covariance.
-
-    The covariance must be aligned with the columns of the stats.
-    """
+def _factor_loglik(cov, stats: SufficientStats):
+    """Cholesky factor of cov and the log-likelihood it gives the stats."""
     s = stats.second_moment
     try:
         factor = cho_factor(np.asarray(cov, dtype=float), lower=True)
@@ -191,7 +208,15 @@ def loglik(cov, stats: SufficientStats) -> float:
     p = s.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     quad = float(np.trace(cho_solve(factor, s)))
-    return -0.5 * stats.n * (p * math.log(2 * math.pi) + logdet + quad)
+    return factor, -0.5 * stats.n * (p * math.log(2 * math.pi) + logdet + quad)
+
+
+def loglik(cov, stats: SufficientStats) -> float:
+    """Gaussian log-likelihood of zero-mean data with the given covariance.
+
+    The covariance must be aligned with the columns of the stats.
+    """
+    return _factor_loglik(cov, stats)[1]
 
 
 def model_loglik(forest, params: ModelParams, stats: SufficientStats) -> float:
@@ -228,10 +253,11 @@ def h_q(host, params: ModelParams, cov, names=None) -> float:
     exactly when the parameters reproduce the target covariance.
     """
     f = _as_forest(host)
-    _validate_params(f, params)
+    corr = _joint(_walks(f), np.ones(len(f.nodes)), _vectors(f, params)[1])
     cov = np.asarray(cov, dtype=float)
     order = tuple(names) if names is not None else f.observed
     pos = {v: i for i, v in enumerate(order)}
+    node = {v: i for i, v in enumerate(f.nodes)}
     total = 0.0
     for v in f.observed:
         total += (params.leaf_var[v] - cov[pos[v], pos[v]]) ** 2
@@ -241,13 +267,7 @@ def h_q(host, params: ModelParams, cov, names=None) -> float:
             rho_star = cov[pos[a], pos[b]] / math.sqrt(
                 cov[pos[a], pos[a]] * cov[pos[b], pos[b]]
             )
-            pathe = f.path(a, b)
-            rho = 0.0
-            if pathe is not None:
-                rho = 1.0
-                for e in pathe:
-                    rho *= params.edge_corr[e]
-            total += (rho - rho_star) ** 2
+            total += (float(corr[node[a], node[b]]) - rho_star) ** 2
     return total
 
 
@@ -301,50 +321,11 @@ def h_q_monomials(host, cov, names=None, var_bound=None) -> MonomialSos:
     return MonomialSos(dim=dim, terms=tuple(terms), domain=domain)
 
 
-def _em_step(
-    f: Forest,
-    params: ModelParams,
-    s_obs: np.ndarray,
-    config: EmConfig,
-) -> ModelParams:
-    nodes = f.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    obs_idx = [index[v] for v in f.observed]
-    lat_idx = [index[v] for v in nodes if v in f.latent]
-    k = joint_covariance(f, params)
-    m = np.empty((len(nodes), len(nodes)))
-    m[np.ix_(obs_idx, obs_idx)] = s_obs
-    if lat_idx:
-        koo = k[np.ix_(obs_idx, obs_idx)]
-        klo = k[np.ix_(lat_idx, obs_idx)]
-        kll = k[np.ix_(lat_idx, lat_idx)]
-        factor = cho_factor(koo, lower=True)
-        j = cho_solve(factor, klo.T).T  # K_LO K_OO^{-1}
-        mol = s_obs @ j.T
-        mll = kll - j @ klo.T + j @ s_obs @ j.T
-        m[np.ix_(obs_idx, lat_idx)] = mol
-        m[np.ix_(lat_idx, obs_idx)] = mol.T
-        m[np.ix_(lat_idx, lat_idx)] = mll
-    diag = np.maximum(np.diag(m), config.var_floor)
-    cap = 1.0 - config.corr_clamp
-    new_corr = {}
-    for e in f.edges:
-        u, v = tuple(e)
-        r = m[index[u], index[v]] / math.sqrt(diag[index[u]] * diag[index[v]])
-        new_corr[e] = float(np.clip(r, -cap, cap))
-    new_var = {v: float(diag[index[v]]) for v in f.observed}
-    return ModelParams(leaf_var=new_var, edge_corr=new_corr)
-
-
-def _random_init(f: Forest, s_obs: np.ndarray, rng) -> ModelParams:
-    leaf_var = {
-        v: max(float(s_obs[i, i]), 1e-6) for i, v in enumerate(f.observed)
-    }
-    edge_corr = {
-        e: float(rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0]))
-        for e in f.edges
-    }
-    return ModelParams(leaf_var=leaf_var, edge_corr=edge_corr)
+def _em_step(f: Forest, params: ModelParams, s_obs: np.ndarray,
+             config: EmConfig) -> ModelParams:
+    """One EM update of params; em_fit with a single iteration."""
+    one = replace(config, max_iter=1, restarts=1)
+    return em_fit(f, SufficientStats(1, s_obs), one, init=params).params
 
 
 def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
@@ -356,30 +337,59 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
     matching on edges with latent variances rescaled to one), so the
     observed log-likelihood never decreases.  Runs config.restarts
     random initializations, or starts from init in the first run.
+
+    The forest is compiled once into index arrays, the parameters are
+    two vectors, and each iteration factors K_OO once: for the
+    log-likelihood of the current parameters and the E-step from them.
     """
     f = _as_forest(forest)
     config = config or EmConfig()
     s_obs = np.asarray(_aligned_moment(stats, f.observed), dtype=float)
     stats_aligned = SufficientStats(n=stats.n, second_moment=s_obs)
+    start = None if init is None else _vectors(f, init)
+    walks = _walks(f)
+    index = {v: i for i, v in enumerate(f.nodes)}
+    obs = [index[v] for v in f.observed]
+    lat = [index[v] for v in f.nodes if v in f.latent]
+    ixoo, ixol = np.ix_(obs, obs), np.ix_(obs, lat)
+    ixlo, ixll = np.ix_(lat, obs), np.ix_(lat, lat)
+    ends = [[index[v] for v in sorted(e)] for e in f.edges]
+    u, v = np.array(ends, dtype=int).reshape(-1, 2).T
+    cap = 1.0 - CORR_CLAMP
     best: EmResult | None = None
     for r in range(max(1, config.restarts)):
-        if r == 0 and init is not None:
-            params = init
+        if r == 0 and start is not None:
+            var, rho = start
         else:
             rng = np.random.default_rng([config.seed, r])
-            params = _random_init(f, s_obs, rng)
-        ll = loglik(covariance(f, params), stats_aligned)
-        converged = False
-        it = 0
+            var = np.ones(len(f.nodes))
+            var[obs] = np.maximum(np.diag(s_obs), 1e-6)
+            rho = np.array([rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+                            for _ in f.edges], dtype=float)
+        k = _joint(walks, np.sqrt(var), rho)
+        factor, ll = _factor_loglik(k[ixoo], stats_aligned)
+        converged, it = False, 0
         for it in range(1, config.max_iter + 1):
-            params = _em_step(f, params, s_obs, config)
-            new_ll = loglik(covariance(f, params), stats_aligned)
-            if abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll)):
-                ll = new_ll
-                converged = True
-                break
+            m = np.empty(k.shape)
+            m[ixoo] = s_obs
+            if lat:
+                j = cho_solve(factor, k[ixlo].T).T  # K_LO K_OO^{-1}
+                m[ixol] = s_obs @ j.T
+                m[ixlo] = m[ixol].T
+                m[ixll] = k[ixll] - j @ k[ixlo].T + j @ s_obs @ j.T
+            diag = np.maximum(np.diag(m), VAR_FLOOR)
+            rho = np.clip(m[u, v] / np.sqrt(diag[u] * diag[v]), -cap, cap)
+            var[obs] = diag[obs]
+            k = _joint(walks, np.sqrt(var), rho)
+            factor, new_ll = _factor_loglik(k[ixoo], stats_aligned)
+            converged = abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll))
             ll = new_ll
+            if converged:
+                break
+        params = ModelParams(dict(zip(f.observed, var[obs].tolist())),
+                             dict(zip(f.edges, rho.tolist())))
         result = EmResult(params=params, loglik=ll, iters=it, converged=converged)
         if best is None or result.loglik > best.loglik:
             best = result
     return best
+

@@ -32,15 +32,19 @@ from .errors import IntegrationFailure
 DEFAULT_N_GRID = tuple(
     int(round(v)) for v in np.geomspace(1e2, 1e6, 13)
 )
+#: Blocks up to this dimension are integrated by quadrature, larger
+#: ones by Monte Carlo.
+QUAD_MAX_DIM = 2
+#: Phase functions above this dimension raise IntegrationFailure.
+MAX_DIM = 10
+#: Multiplicities the log log n regression chooses among.
+M_CANDIDATES = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
 class LaplaceConfig:
     mc_points: int = 10**6
     seed: int = 0
-    quad_max_dim: int = 2
-    max_dim: int = 10
-    m_candidates: tuple[int, ...] = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -212,9 +216,9 @@ def laplace_rlct_estimate(
         terms = None
         dim = len(box)
 
-    if dim > cfg.max_dim:
+    if dim > MAX_DIM:
         raise IntegrationFailure(
-            f"dimension {dim} exceeds the numeric bound {cfg.max_dim}"
+            f"dimension {dim} exceeds the numeric bound {MAX_DIM}"
         )
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -247,7 +251,7 @@ def laplace_rlct_estimate(
         else:
             hb = lambda pts: np.asarray(h(pts), dtype=float)
 
-        if len(coords) <= cfg.quad_max_dim:
+        if len(coords) <= QUAD_MAX_DIM:
             for gi, n in enumerate(grid):
                 val = _quad_block(hb, sub_box, n)
                 if not val > 0 or not math.isfinite(val):
@@ -275,7 +279,7 @@ def laplace_rlct_estimate(
     loglogn = np.log(logn)
     best = None
     rss_table = []
-    for mc in cfg.m_candidates:
+    for mc in M_CANDIDATES:
         y = log_z - (mc - 1) * loglogn
         design = np.column_stack([np.ones_like(logn), logn])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)

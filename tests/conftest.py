@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,3 +83,23 @@ def random_forest(rng: np.random.Generator):
                 degree[u] += 1
                 degree[v] += 1
     return build_forest([(v, v in latent) for v in names], edges)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(args, hash_seed: int) -> str:
+    """Stdout of ``python3 args`` in a fresh process with a fixed hash seed.
+
+    The process imports the library from this checkout's ``src`` and
+    runs OpenBLAS single threaded, so only the hash seed varies.
+    """
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -8,6 +8,8 @@ import pytest
 from latentforest import ModelParams, build_forest, covariance, edge, sample
 from latentforest.cli import main
 
+from conftest import run_python
+
 
 def write_forest(path, f):
     path.write_text(f.to_json())
@@ -217,6 +219,24 @@ class TestSelect:
         assert doc["selected"] in codes
         assert codes[0] == "1 1 1 1 1"
         assert codes[-1] == "0 0 0 0 0"
+
+    def test_chain_independent_of_hash_seed(self, tmp_path, five_tree):
+        params = ModelParams(
+            leaf_var={v: 1.0 for v in five_tree.observed},
+            edge_corr={e: 0.6 for e in five_tree.edges},
+        )
+        tree = write_forest(tmp_path / "t.json", five_tree)
+        data = write_csv(
+            tmp_path / "d.csv",
+            five_tree.observed,
+            sample(five_tree, params, 125, seed=0),
+        )
+        argv = [
+            "-m", "latentforest.cli", "select", "--tree", tree, "--data",
+            data, "--lattice", "chain", "--restarts", "2", "--max-iter",
+            "400", "--seed", "7",
+        ]
+        assert run_python(argv, 1) == run_python(argv, 2)
 
 
 class TestSimulate:

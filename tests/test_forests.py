@@ -25,7 +25,7 @@ from latentforest import (
     subforest_lattice,
 )
 from latentforest.forests import _subforest_of_mask
-from conftest import random_forest
+from conftest import random_forest, run_python
 
 
 def pattern_oracle(nodes, latent, edges):
@@ -250,6 +250,23 @@ class TestCanonicalize:
         again = canonicalize(c.forest)
         assert again == c
         assert again.forest.edges == c.forest.edges
+
+    def test_edge_sources_independent_of_hash_seed(self):
+        # a run of four degree-2 latent nodes merges into one edge whose
+        # sources must come out in the same order in every process
+        script = (
+            "from latentforest import build_forest, canonicalize\n"
+            "f = build_forest([('1', False), ('2', False)]\n"
+            "    + [(f'z{i}', True) for i in range(4)],\n"
+            "    [('1', 'z0'), ('z0', 'z1'), ('z1', 'z2'), ('z2', 'z3'),\n"
+            "     ('z3', '2')])\n"
+            "print([[sorted(e) for e in s] for s in canonicalize(f).edge_sources])\n"
+        )
+        outs = {run_python(["-c", script], seed) for seed in range(4)}
+        assert len(outs) == 1
+        assert outs.pop().strip() == str(
+            [[["1", "z0"], ["z0", "z1"], ["z1", "z2"], ["z2", "z3"], ["2", "z3"]]]
+        )
 
 
 class TestModelDimension:

@@ -1,10 +1,12 @@
 import json
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.linalg import cho_factor, cho_solve
 
 from latentforest import (
     EmConfig,
@@ -23,8 +25,16 @@ from latentforest import (
     loglik,
     model_loglik,
     sample,
+    steiner_subforest,
+    subforest_lattice,
     suff_stats,
     suff_stats_from_cov,
+)
+from latentforest import gaussian
+from latentforest.experiments import (
+    lattice5_host,
+    lattice5_truth_index,
+    random_trivalent_tree,
 )
 from latentforest.gaussian import _em_step, _validate_params
 
@@ -68,6 +78,105 @@ def path_correlation(f, params, a, b):
             seen.add(w)
             queue.append((w, r))
     return 0.0
+
+
+# The dict-and-BFS EM of earlier releases, kept as an independent oracle
+# for the array form in em_fit; edge endpoints are taken in sorted order.
+
+
+def reference_joint_covariance(f, params):
+    nodes = f.nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    corr = np.eye(len(nodes))
+    for start in nodes:
+        si = index[start]
+        seen = {start}
+        queue = deque([(start, 1.0)])
+        while queue:
+            v, rho = queue.popleft()
+            for w in f.neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    r = rho * params.edge_corr[edge(v, w)]
+                    corr[si, index[w]] = r
+                    queue.append((w, r))
+    scale = np.sqrt(
+        [params.leaf_var[v] if v in params.leaf_var else 1.0 for v in nodes]
+    )
+    return corr * np.outer(scale, scale)
+
+
+def reference_loglik(f, params, s, n):
+    idx = [f.nodes.index(v) for v in f.observed]
+    cov = reference_joint_covariance(f, params)[np.ix_(idx, idx)]
+    factor = cho_factor(cov, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    quad = float(np.trace(cho_solve(factor, s)))
+    return -0.5 * n * (s.shape[0] * math.log(2 * math.pi) + logdet + quad)
+
+
+def reference_em_step(f, params, s_obs):
+    nodes = f.nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    obs_idx = [index[v] for v in f.observed]
+    lat_idx = [index[v] for v in nodes if v in f.latent]
+    k = reference_joint_covariance(f, params)
+    m = np.empty((len(nodes), len(nodes)))
+    m[np.ix_(obs_idx, obs_idx)] = s_obs
+    if lat_idx:
+        koo = k[np.ix_(obs_idx, obs_idx)]
+        klo = k[np.ix_(lat_idx, obs_idx)]
+        kll = k[np.ix_(lat_idx, lat_idx)]
+        factor = cho_factor(koo, lower=True)
+        j = cho_solve(factor, klo.T).T
+        mol = s_obs @ j.T
+        mll = kll - j @ klo.T + j @ s_obs @ j.T
+        m[np.ix_(obs_idx, lat_idx)] = mol
+        m[np.ix_(lat_idx, obs_idx)] = mol.T
+        m[np.ix_(lat_idx, lat_idx)] = mll
+    diag = np.maximum(np.diag(m), 1e-12)
+    cap = 1.0 - 1e-9
+    new_corr = {}
+    for e in f.edges:
+        u, v = sorted(e)
+        r = m[index[u], index[v]] / math.sqrt(diag[index[u]] * diag[index[v]])
+        new_corr[e] = float(np.clip(r, -cap, cap))
+    new_var = {v: float(diag[index[v]]) for v in f.observed}
+    return ModelParams(leaf_var=new_var, edge_corr=new_corr)
+
+
+def reference_em_fit(f, stats, config, init=None):
+    s_obs = stats.second_moment
+    best = None
+    for r in range(max(1, config.restarts)):
+        if r == 0 and init is not None:
+            params = init
+        else:
+            rng = np.random.default_rng([config.seed, r])
+            params = ModelParams(
+                leaf_var={
+                    v: max(float(s_obs[i, i]), 1e-6)
+                    for i, v in enumerate(f.observed)
+                },
+                edge_corr={
+                    e: float(rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0]))
+                    for e in f.edges
+                },
+            )
+        ll = reference_loglik(f, params, s_obs, stats.n)
+        converged = False
+        it = 0
+        for it in range(1, config.max_iter + 1):
+            params = reference_em_step(f, params, s_obs)
+            new_ll = reference_loglik(f, params, s_obs, stats.n)
+            if abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll)):
+                ll = new_ll
+                converged = True
+                break
+            ll = new_ll
+        if best is None or ll > best[1]:
+            best = (params, ll, it, converged)
+    return best
 
 
 class TestCovariance:
@@ -407,9 +516,93 @@ class TestEm:
             model_loglik(quartet, truth, s), rel=1e-9
         )
 
+    def test_integer_init(self):
+        # no latent node, so every variance in the init is an int
+        f = build_forest({"1": False, "2": False}, [("1", "2")])
+        s = suff_stats(np.random.default_rng(18).normal(size=(40, 2)))
+        corr = {edge("1", "2"): 0.5}
+        ints = ModelParams({"1": 1, "2": 2}, corr)
+        floats = ModelParams({"1": 1.0, "2": 2.0}, corr)
+        config = EmConfig(restarts=1)
+        assert em_fit(f, s, config, init=ints) == em_fit(
+            f, s, config, init=floats
+        )
+
     def test_result_unpacks(self, three_star):
         x = np.random.default_rng(14).normal(size=(20, 3))
         res = em_fit(three_star, suff_stats(x), EmConfig(restarts=1))
         params, ll, iters = res
         assert params is res.params
         assert ll == res.loglik and iters == res.iters
+
+
+class TestEmMatchesReference:
+    """em_fit equals the dict-based oracle exactly, not approximately."""
+
+    @staticmethod
+    def assert_same(res, want):
+        params, ll, iters, converged = want
+        assert res.loglik == ll
+        assert res.iters == iters
+        assert res.converged == converged
+        assert res.params == params
+
+    def test_lattice5_classes(self):
+        host = lattice5_host()
+        lat = subforest_lattice(host)
+        rep = steiner_subforest(host, lat.classes[lattice5_truth_index(lat)])
+        truth = ModelParams(
+            leaf_var={v: 1.0 for v in host.observed},
+            edge_corr={e: 0.6 for e in rep.edges},
+        )
+        x = sample(rep, truth, 125, seed=3)
+        stats = suff_stats(x, names=rep.observed)
+        config = EmConfig(restarts=2, max_iter=300, seed=5)
+        assert len(lat.classes) == 34
+        for c in lat.classes:
+            assert c.forest.observed == rep.observed
+            self.assert_same(
+                em_fit(c, stats, config),
+                reference_em_fit(c.forest, suff_stats(x), config),
+            )
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_trivalent_from_random_init(self, m):
+        f = random_trivalent_tree(m, m)
+        rng = np.random.default_rng(100 + m)
+        x = sample(f, random_params(f, rng), 80, seed=m)
+        stats = suff_stats(x)
+        init = random_params(f, rng)
+        config = EmConfig(restarts=2, max_iter=400, seed=m)
+        self.assert_same(
+            em_fit(f, stats, config, init=init),
+            reference_em_fit(f, stats, config, init=init),
+        )
+
+    def test_clamped_correlation(self):
+        # identical columns drive the edge correlation onto the clamp
+        f = build_forest({"1": False, "2": False}, [("1", "2")])
+        z = np.random.default_rng(17).normal(size=(30, 1))
+        stats = suff_stats(np.hstack([z, z]))
+        config = EmConfig(restarts=1)
+        res = em_fit(f, stats, config)
+        self.assert_same(res, reference_em_fit(f, stats, config))
+        assert res.params.edge_corr[edge("1", "2")] == 1.0 - 1e-9
+
+    def test_em_step(self, quartet):
+        rng = np.random.default_rng(15)
+        s = suff_stats(sample(quartet, quartet_params(), 60, seed=15))
+        cur = random_params(quartet, rng)
+        for _ in range(5):
+            want = reference_em_step(quartet, cur, s.second_moment)
+            cur = _em_step(quartet, cur, s.second_moment, EmConfig())
+            assert cur == want
+
+    def test_one_factorization_per_iteration(self, quartet):
+        s = suff_stats(sample(quartet, quartet_params(), 60, seed=16))
+        with mock.patch.object(
+            gaussian, "cho_factor", wraps=gaussian.cho_factor
+        ) as spy:
+            res = em_fit(quartet, s, EmConfig(restarts=1, max_iter=7))
+        assert res.iters == 7
+        assert spy.call_count == res.iters + 1
