@@ -90,12 +90,12 @@ def _validate_params(f: Forest, params: ModelParams) -> None:
     for v in f.observed:
         if v not in params.leaf_var:
             raise UnknownNode(f"missing variance for observed node {v!r}")
-        if not params.leaf_var[v] > 0:
+        if not 0 < params.leaf_var[v] < math.inf:
             raise ValueError(f"variance of {v!r} must be positive")
     for e in f.edges:
         if e not in params.edge_corr:
             raise UnknownNode(f"missing correlation for edge {sorted(e)}")
-        if abs(params.edge_corr[e]) > 1:
+        if not abs(params.edge_corr[e]) <= 1:
             raise ValueError(f"correlation of {sorted(e)} exceeds 1")
     if len(params.leaf_var) != len(f.observed) or len(params.edge_corr) != len(
         f.edges
@@ -198,16 +198,17 @@ def _aligned_moment(stats: SufficientStats, order) -> np.ndarray:
     return stats.second_moment[np.ix_(perm, perm)]
 
 
-def _factor_loglik(cov, stats: SufficientStats):
+def _factor_loglik(cov, stats: SufficientStats, check_finite: bool = True):
     """Cholesky factor of cov and the log-likelihood it gives the stats."""
     s = stats.second_moment
     try:
-        factor = cho_factor(np.asarray(cov, dtype=float), lower=True)
+        factor = cho_factor(np.asarray(cov, dtype=float), lower=True,
+                            check_finite=check_finite)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
     p = s.shape[0]
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    quad = float(np.trace(cho_solve(factor, s)))
+    quad = float(np.trace(cho_solve(factor, s, check_finite=check_finite)))
     return factor, -0.5 * stats.n * (p * math.log(2 * math.pi) + logdet + quad)
 
 
@@ -341,10 +342,14 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
     The forest is compiled once into index arrays, the parameters are
     two vectors, and each iteration factors K_OO once: for the
     log-likelihood of the current parameters and the E-step from them.
+    The stats and init are checked once on entry, so the loop skips
+    scipy's finiteness checks.
     """
     f = _as_forest(forest)
     config = config or EmConfig()
     s_obs = np.asarray(_aligned_moment(stats, f.observed), dtype=float)
+    if not np.isfinite(s_obs).all():
+        raise ValueError("array must not contain infs or NaNs")
     stats_aligned = SufficientStats(n=stats.n, second_moment=s_obs)
     start = None if init is None else _vectors(f, init)
     walks = _walks(f)
@@ -367,13 +372,14 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
             rho = np.array([rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
                             for _ in f.edges], dtype=float)
         k = _joint(walks, np.sqrt(var), rho)
-        factor, ll = _factor_loglik(k[ixoo], stats_aligned)
+        factor, ll = _factor_loglik(k[ixoo], stats_aligned, check_finite=False)
         converged, it = False, 0
         for it in range(1, config.max_iter + 1):
             m = np.empty(k.shape)
             m[ixoo] = s_obs
             if lat:
-                j = cho_solve(factor, k[ixlo].T).T  # K_LO K_OO^{-1}
+                # K_LO K_OO^{-1}
+                j = cho_solve(factor, k[ixlo].T, check_finite=False).T
                 m[ixol] = s_obs @ j.T
                 m[ixlo] = m[ixol].T
                 m[ixll] = k[ixll] - j @ k[ixlo].T + j @ s_obs @ j.T
@@ -381,7 +387,8 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
             rho = np.clip(m[u, v] / np.sqrt(diag[u] * diag[v]), -cap, cap)
             var[obs] = diag[obs]
             k = _joint(walks, np.sqrt(var), rho)
-            factor, new_ll = _factor_loglik(k[ixoo], stats_aligned)
+            factor, new_ll = _factor_loglik(k[ixoo], stats_aligned,
+                                            check_finite=False)
             converged = abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll))
             ll = new_ll
             if converged:

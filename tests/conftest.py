@@ -85,6 +85,18 @@ def random_forest(rng: np.random.Generator):
     return build_forest([(v, v in latent) for v in names], edges)
 
 
+def subdivide_leaf_edge(tree, tag, rng):
+    """Insert the latent node ``s<tag>`` on the edge of a leaf drawn by
+    ``rng.choice`` (a ``random.Random`` or a numpy Generator)."""
+    leaf = str(rng.choice(sorted(tree.observed)))
+    (other,) = tree.neighbors[leaf]
+    w = f"s{tag}"
+    edges = [tuple(sorted(e)) for e in tree.edges if leaf not in e]
+    edges += [(leaf, w), tuple(sorted((w, other)))]
+    nodes = [(v, v in tree.latent) for v in tree.nodes] + [(w, True)]
+    return build_forest(nodes, edges)
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

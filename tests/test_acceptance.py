@@ -5,8 +5,9 @@ single ``[criterion NN] PASS/FAIL`` line on the real stdout (bypassing
 pytest capture) so the verdict is visible in any log, then asserts.
 
 The slow checks pin their seeds and budgets: the whole module runs in
-about four minutes, dominated by the polyhedral sweep over random
-trivalent trees and the 100-replicate selection experiment.
+about three minutes on a 2-core x86-64 VM, dominated by the
+100-replicate selection experiment (criterion 09, about two minutes)
+and the Laplace oracle (criterion 10, about 35 s).
 """
 
 import math
@@ -56,7 +57,7 @@ from latentforest.forests import _subforest_of_mask
 from latentforest.gaussian import _em_step
 from latentforest.polyhedra import newton_facets, one_distance_mult
 
-from conftest import random_forest
+from conftest import random_forest, subdivide_leaf_edge
 
 pytestmark = pytest.mark.slow
 
@@ -217,16 +218,6 @@ def test_05_lattice_count_and_depth(five_tree):
 #    insertions on pendant edges raising the multiplicity to 1+k
 
 
-def _subdivide_leaf_edge(tree, tag, rng):
-    leaf = rng.choice(sorted(tree.observed))
-    (other,) = tree.neighbors[leaf]
-    w = f"s{tag}"
-    edges = [tuple(sorted(e)) for e in tree.edges if leaf not in e]
-    edges += [(leaf, w), tuple(sorted((w, other)))]
-    nodes = [(v, v in tree.latent) for v in tree.nodes] + [(w, True)]
-    return build_forest(nodes, edges)
-
-
 def _engine_distance_mult(tree):
     sos = zero_part_monomials(tree, empty_on(tree.observed))
     return one_distance_mult(newton_facets([u for u, _ in sos.terms], sos.dim))
@@ -248,7 +239,7 @@ def test_06_trivalent_trees_and_insertions():
             k = rng.randint(1, 3) if m <= 6 else 1
             sub = tree
             for j in range(k):
-                sub = _subdivide_leaf_edge(sub, j, rng)
+                sub = subdivide_leaf_edge(sub, j, rng)
             grown = _engine_distance_mult(sub)
             if grown != (F(2, m), 1 + k):
                 bad.append(("sub", m, i, k, grown))

@@ -277,6 +277,24 @@ class TestParams:
         with pytest.raises(ValueError):
             _validate_params(quartet, ModelParams(p.leaf_var, bad))
 
+    @pytest.mark.parametrize(
+        "var3,corr_ab,message",
+        [(math.inf, 0.9, "must be positive"), (1.5, math.nan, "exceeds 1")],
+    )
+    def test_nonfinite_rejected(self, quartet, var3, corr_ab, message):
+        p = quartet_params()
+        bad = ModelParams(
+            leaf_var={**p.leaf_var, "3": var3},
+            edge_corr={**p.edge_corr, edge("a", "b"): corr_ab},
+        )
+        s = suff_stats(sample(quartet, p, 50, seed=19))
+        with pytest.raises(ValueError, match=message):
+            joint_covariance(quartet, bad)
+        with pytest.raises(ValueError, match=message):
+            sample(quartet, bad, 5, seed=0)
+        with pytest.raises(ValueError, match=message):
+            em_fit(quartet, s, EmConfig(restarts=1), init=bad)
+
     def test_extra_key(self, quartet):
         p = quartet_params()
         extra = {**p.edge_corr, edge("5", "6"): 0.1}
@@ -527,6 +545,14 @@ class TestEm:
         assert em_fit(f, s, config, init=ints) == em_fit(
             f, s, config, init=floats
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_stats_rejected(self, three_star, bad):
+        s = suff_stats(np.random.default_rng(20).normal(size=(20, 3)))
+        moment = s.second_moment.copy()
+        moment[0, 1] = moment[1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            em_fit(three_star, suff_stats_from_cov(moment, s.n))
 
     def test_result_unpacks(self, three_star):
         x = np.random.default_rng(14).normal(size=(20, 3))

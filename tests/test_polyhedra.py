@@ -4,9 +4,73 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from latentforest import newton_facets, one_distance_mult
+from latentforest import (
+    build_forest,
+    newton_facets,
+    one_distance_mult,
+    rlct_monomial_sos,
+    zero_part_monomials,
+)
 from latentforest.errors import DimensionTooLarge
-from latentforest.polyhedra import rational_rank
+from latentforest.experiments import random_trivalent_tree
+from latentforest.polyhedra import _combine, _dot, rational_rank
+
+from conftest import subdivide_leaf_edge
+
+
+def reference_newton_facets(gens, d):
+    """Sorted facets by general double description, the oracle for
+    ``newton_facets``: every constraint, axes first, goes through an
+    explicit lineality space, kept rays are reordered positive before
+    zero, and the dual cone is checked to be pointed at the end."""
+    constraints = [tuple(int(i == j + 1) for i in range(d + 1)) for j in range(d)]
+    constraints += [(1, *u) for u in sorted(set(gens))]
+    dim = d + 1
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays, active = [], []
+    for ci, g in enumerate(constraints):
+        pidx = next((i for i, l in enumerate(lineality) if _dot(g, l) != 0), None)
+        if pidx is not None:
+            pivot = lineality.pop(pidx)
+            if _dot(g, pivot) < 0:
+                pivot = tuple(-x for x in pivot)
+            lineality = [_combine(g, pivot, l) for l in lineality]
+            rays = [_combine(g, pivot, r) if _dot(g, r) != 0 else r for r in rays]
+            active = [a | (1 << ci) for a in active]
+            rays.append(pivot)
+            active.append((1 << ci) - 1)
+            continue
+        vals = [_dot(g, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            active = [a | (1 << ci) if v == 0 else a for a, v in zip(active, vals)]
+            continue
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        keep_rays = [rays[i] for i in pos + zero]
+        keep_active = [active[i] | (0 if i in pos else 1 << ci) for i in pos + zero]
+        for ip in pos:
+            for im in neg:
+                common = active[ip] & active[im]
+                if not any(
+                    k not in (ip, im) and (active[k] & common) == common
+                    for k in range(len(rays))
+                ):
+                    keep_rays.append(_combine(g, rays[ip], rays[im]))
+                    keep_active.append(common | (1 << ci))
+        rays, active = keep_rays, keep_active
+    assert not lineality, "dual cone is not pointed"
+    return tuple(sorted((r[1:], -r[0]) for r in rays if any(r[1:])))
+
+
+def trivalent_zero_part(m, seed, k=0):
+    """Zero part, against the empty pattern, of a random trivalent tree
+    with k pendant subdivisions."""
+    tree = random_trivalent_tree(m, seed)
+    rng = np.random.default_rng(seed)
+    for tag in range(k):
+        tree = subdivide_leaf_edge(tree, tag, rng)
+    return zero_part_monomials(tree, build_forest({v: False for v in tree.observed}, []))
 
 
 def lp_member(generators, point) -> bool:
@@ -89,6 +153,38 @@ class TestNewtonFacets:
     def test_dimension_bound(self):
         with pytest.raises(DimensionTooLarge):
             newton_facets([tuple([1] * 21)], 21)
+
+
+class TestMatchesReference:
+    def test_random_systems(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(2000):
+            d = int(rng.integers(1, 7))
+            gens = [tuple(int(x) for x in rng.integers(0, 4, size=d))
+                    for _ in range(int(rng.integers(1, 9)))]
+            assert newton_facets(gens, d).facets == reference_newton_facets(
+                gens, d
+            ), gens
+
+    @pytest.mark.parametrize(
+        "m,k",
+        [(m, k) for m in (3, 4, 5, 6) for k in range(4)]
+        + [(7, 0), (7, 1)]
+        + [pytest.param(7, 2, marks=pytest.mark.slow),
+           pytest.param(8, 0, marks=pytest.mark.slow)],
+    )
+    def test_trivalent_zero_parts(self, m, k):
+        sos = trivalent_zero_part(m, m, k)
+        gens = [u for u, _ in sos.terms]
+        assert newton_facets(gens, sos.dim).facets == reference_newton_facets(
+            gens, sos.dim
+        )
+
+    @pytest.mark.slow
+    def test_nine_leaf_trivalent_threshold(self):
+        sos = trivalent_zero_part(9, 9)
+        assert sos.dim == 15
+        assert rlct_monomial_sos(sos).as_tuple() == (Fraction(9, 2), 1)
 
 
 class TestOneDistance:
