@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .engine import MonomialSos
 from .errors import NotPositiveDefinite, UnrealizablePattern, UnknownNode
@@ -91,68 +91,97 @@ def _validate_params(f: Forest, params: ModelParams) -> None:
         if v not in params.leaf_var:
             raise UnknownNode(f"missing variance for observed node {v!r}")
         if not 0 < params.leaf_var[v] < math.inf:
-            raise ValueError(f"variance of {v!r} must be positive")
+            raise ValueError(f"variance of {v!r} must be positive and finite")
     for e in f.edges:
         if e not in params.edge_corr:
             raise UnknownNode(f"missing correlation for edge {sorted(e)}")
         if not abs(params.edge_corr[e]) <= 1:
-            raise ValueError(f"correlation of {sorted(e)} exceeds 1")
+            raise ValueError(
+                f"correlation of {sorted(e)} must be a number in [-1, 1]"
+            )
     if len(params.leaf_var) != len(f.observed) or len(params.edge_corr) != len(
         f.edges
     ):
         raise UnknownNode("params carry keys that are not in the forest")
 
 
-def _walks(f: Forest) -> list[np.ndarray]:
-    """Breadth-first walks from every node, one index array per depth.
+class _Layout:
+    """A forest compiled for path products, observed nodes first.
 
-    Depth d holds the steps (start, node, parent, edge) to nodes d edges
-    from start, in ``Forest.neighbors`` order, so path products multiply
-    edges in ``Forest.path`` order.
+    ``nodes`` is ``f.observed`` followed by the latent nodes in
+    ``f.nodes`` order, so with p observed nodes the blocks K_OO, K_LO
+    and K_LL of a joint matrix are the slices [:p, :p], [p:, :p] and
+    [p:, p:].  ``walks`` holds one step array triple per depth d: flat
+    indices into the n x n correlation buffer of (start, node) and of
+    (start, parent), and the edge index, for nodes d edges from start in
+    ``Forest.neighbors`` order, so path products multiply edges in
+    ``Forest.path`` order.  ``u`` and ``v`` are the edge endpoints in
+    sorted name order and ``uv`` their flat index.
     """
-    index = {v: i for i, v in enumerate(f.nodes)}
-    eidx = {e: i for i, e in enumerate(f.edges)}
-    levels: dict[int, list[tuple[int, int, int, int]]] = {}
-    for start in f.nodes:
-        depth = {start: 0}
-        queue = [start]
-        for v in queue:
-            for w in f.neighbors[v]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                    step = (index[start], index[w], index[v], eidx[edge(v, w)])
-                    levels.setdefault(depth[w], []).append(step)
-    return [np.array(steps).T for steps in levels.values()]
 
+    def __init__(self, f: Forest):
+        self.nodes = f.observed + tuple(v for v in f.nodes if v in f.latent)
+        self.p = len(f.observed)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.forest = f
+        n = len(self.nodes)
+        eidx = {e: i for i, e in enumerate(f.edges)}
+        levels: dict[int, list[tuple[int, int, int]]] = {}
+        for start in self.nodes:
+            row = self.index[start] * n
+            depth = {start: 0}
+            queue = [start]
+            for v in queue:
+                for w in f.neighbors[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+                        levels.setdefault(depth[w], []).append(
+                            (row + self.index[w], row + self.index[v],
+                             eidx[edge(v, w)])
+                        )
+        self.walks = [tuple(np.array(col) for col in zip(*steps))
+                      for steps in levels.values()]
+        self.eye = np.eye(n)
+        ends = [[self.index[v] for v in sorted(e)] for e in f.edges]
+        self.u, self.v = np.array(ends, dtype=int).reshape(-1, 2).T
+        self.uv = self.u * n + self.v
 
-def _joint(walks, scale: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D R D over all nodes, R the path products of the edge correlations."""
-    corr = np.eye(len(scale))
-    for start, node, parent, e in walks:
-        corr[start, node] = corr[start, parent] * rho[e]
-    return corr * np.outer(scale, scale)
+    def vectors(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+        """Check params; return root variances (one if latent) and edge correlations."""
+        _validate_params(self.forest, params)
+        var = np.array([params.leaf_var.get(v, 1.0) for v in self.nodes],
+                       dtype=float)
+        rho = np.array([params.edge_corr[e] for e in self.forest.edges],
+                       dtype=float)
+        return var, rho
 
+    def joint(self, scale: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """D R D over all nodes, R the path products of the edge correlations."""
+        corr = self.eye.copy()
+        flat = corr.reshape(-1)
+        for dst, src, e in self.walks:
+            flat[dst] = flat[src] * rho[e]
+        return corr * (scale[:, None] * scale)
 
-def _vectors(f: Forest, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Check params; return root variances (one if latent) and edge correlations."""
-    _validate_params(f, params)
-    var = np.array([params.leaf_var.get(v, 1.0) for v in f.nodes], dtype=float)
-    return var, np.array([params.edge_corr[e] for e in f.edges], dtype=float)
+    def joint_cov(self, params: ModelParams) -> np.ndarray:
+        """Covariance over all nodes at params, in layout order."""
+        var, rho = self.vectors(params)
+        return self.joint(np.sqrt(var), rho)
 
 
 def joint_covariance(forest, params: ModelParams) -> np.ndarray:
     """Covariance over all nodes, ordered as forest.nodes."""
     f = _as_forest(forest)
-    var, rho = _vectors(f, params)
-    return _joint(_walks(f), np.sqrt(var), rho)
+    lay = _Layout(f)
+    back = [lay.index[v] for v in f.nodes]
+    return lay.joint_cov(params)[np.ix_(back, back)]
 
 
 def covariance(forest, params: ModelParams) -> np.ndarray:
     """Model covariance of the observed nodes, ordered as forest.observed."""
-    f = _as_forest(forest)
-    idx = [f.nodes.index(v) for v in f.observed]
-    return joint_covariance(f, params)[np.ix_(idx, idx)]
+    lay = _Layout(_as_forest(forest))
+    return lay.joint_cov(params)[: lay.p, : lay.p].copy()
 
 
 def sample(forest, params: ModelParams, n: int, seed=None) -> np.ndarray:
@@ -198,18 +227,49 @@ def _aligned_moment(stats: SufficientStats, order) -> np.ndarray:
     return stats.second_moment[np.ix_(perm, perm)]
 
 
-def _factor_loglik(cov, stats: SufficientStats, check_finite: bool = True):
-    """Cholesky factor of cov and the log-likelihood it gives the stats."""
-    s = stats.second_moment
-    try:
-        factor = cho_factor(np.asarray(cov, dtype=float), lower=True,
-                            check_finite=check_finite)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("covariance is not positive definite") from exc
-    p = s.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    quad = float(np.trace(cho_solve(factor, s, check_finite=check_finite)))
-    return factor, -0.5 * stats.n * (p * math.log(2 * math.pi) + logdet + quad)
+def _finite(a) -> np.ndarray:
+    """a as a float array, or the ValueError scipy raises on infs and NaNs."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _square(a) -> np.ndarray:
+    """a as a finite square float matrix, with scipy's error messages."""
+    a = _finite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("Input array is expected to be square but has "
+                         f"the shape: {a.shape}.")
+    return a
+
+
+def _rhs(c: np.ndarray, b) -> np.ndarray:
+    """b as a finite right-hand side for the factor c."""
+    b = _finite(b)
+    if b.shape[:1] != c.shape[1:]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    return b
+
+
+def _cholesky(a: np.ndarray, what: str = "covariance") -> np.ndarray:
+    """Lower Cholesky factor of a by LAPACK potrf; the upper triangle is junk."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+    return c
+
+
+def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (c c^T) x = b by LAPACK potrs, with c from _cholesky."""
+    return dpotrs(c, b, lower=1)[0] if c.size else np.empty(b.shape)
+
+
+def _loglik(c: np.ndarray, s: np.ndarray, n: int) -> float:
+    """Log-likelihood of the stats (n, s) under the covariance c c^T."""
+    logdet = 2.0 * float(np.log(c.diagonal()).sum())
+    quad = float(_solve(c, s).trace())
+    return -0.5 * n * (s.shape[0] * math.log(2 * math.pi) + logdet + quad)
 
 
 def loglik(cov, stats: SufficientStats) -> float:
@@ -217,7 +277,8 @@ def loglik(cov, stats: SufficientStats) -> float:
 
     The covariance must be aligned with the columns of the stats.
     """
-    return _factor_loglik(cov, stats)[1]
+    c = _cholesky(_square(cov))
+    return _loglik(c, _rhs(c, stats.second_moment), stats.n)
 
 
 def model_loglik(forest, params: ModelParams, stats: SufficientStats) -> float:
@@ -231,17 +292,16 @@ def model_loglik(forest, params: ModelParams, stats: SufficientStats) -> float:
 
 def kl_divergence(cov_p, cov_q) -> float:
     """KL(N(0, cov_p) || N(0, cov_q))."""
+    c = _cholesky(_square(cov_q), "second covariance")
     p = np.asarray(cov_p, dtype=float)
-    q = np.asarray(cov_q, dtype=float)
     try:
-        fq = cho_factor(q, lower=True)
         sign_p, logdet_p = np.linalg.slogdet(p)
-        if sign_p <= 0:
-            raise NotPositiveDefinite("first covariance is not positive definite")
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("second covariance is not positive definite") from exc
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(fq[0]))))
-    trace = float(np.trace(cho_solve(fq, p)))
+    if sign_p <= 0:
+        raise NotPositiveDefinite("first covariance is not positive definite")
+    logdet_q = 2.0 * float(np.log(c.diagonal()).sum())
+    trace = float(_solve(c, _rhs(c, p)).trace())
     return 0.5 * (trace - p.shape[0] + logdet_q - logdet_p)
 
 
@@ -254,11 +314,12 @@ def h_q(host, params: ModelParams, cov, names=None) -> float:
     exactly when the parameters reproduce the target covariance.
     """
     f = _as_forest(host)
-    corr = _joint(_walks(f), np.ones(len(f.nodes)), _vectors(f, params)[1])
+    lay = _Layout(f)
+    corr = lay.joint(np.ones(len(lay.nodes)), lay.vectors(params)[1])
     cov = np.asarray(cov, dtype=float)
     order = tuple(names) if names is not None else f.observed
     pos = {v: i for i, v in enumerate(order)}
-    node = {v: i for i, v in enumerate(f.nodes)}
+    node = lay.index
     total = 0.0
     for v in f.observed:
         total += (params.leaf_var[v] - cov[pos[v], pos[v]]) ** 2
@@ -339,27 +400,21 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
     observed log-likelihood never decreases.  Runs config.restarts
     random initializations, or starts from init in the first run.
 
-    The forest is compiled once into index arrays, the parameters are
-    two vectors, and each iteration factors K_OO once: for the
-    log-likelihood of the current parameters and the E-step from them.
-    The stats and init are checked once on entry, so the loop skips
-    scipy's finiteness checks.
+    The forest is compiled once into an observed-first layout with flat
+    path-product indices (see _Layout), so K_OO, K_LO and K_LL are
+    slices and the parameters are two vectors.  Each iteration factors
+    K_OO once by a direct LAPACK potrf call and reuses the factor, by
+    potrs, for the log-likelihood of the current parameters and for the
+    E-step from them.  The stats and init are checked once on entry, so
+    the loop does no finiteness checks.
     """
     f = _as_forest(forest)
     config = config or EmConfig()
-    s_obs = np.asarray(_aligned_moment(stats, f.observed), dtype=float)
-    if not np.isfinite(s_obs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    stats_aligned = SufficientStats(n=stats.n, second_moment=s_obs)
-    start = None if init is None else _vectors(f, init)
-    walks = _walks(f)
-    index = {v: i for i, v in enumerate(f.nodes)}
-    obs = [index[v] for v in f.observed]
-    lat = [index[v] for v in f.nodes if v in f.latent]
-    ixoo, ixol = np.ix_(obs, obs), np.ix_(obs, lat)
-    ixlo, ixll = np.ix_(lat, obs), np.ix_(lat, lat)
-    ends = [[index[v] for v in sorted(e)] for e in f.edges]
-    u, v = np.array(ends, dtype=int).reshape(-1, 2).T
+    s_obs = _finite(_aligned_moment(stats, f.observed))
+    lay = _Layout(f)
+    start = None if init is None else lay.vectors(init)
+    p, n = lay.p, len(lay.nodes)
+    u, v, uv = lay.u, lay.v, lay.uv
     cap = 1.0 - CORR_CLAMP
     best: EmResult | None = None
     for r in range(max(1, config.restarts)):
@@ -367,36 +422,37 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
             var, rho = start
         else:
             rng = np.random.default_rng([config.seed, r])
-            var = np.ones(len(f.nodes))
-            var[obs] = np.maximum(np.diag(s_obs), 1e-6)
+            var = np.ones(n)
+            var[:p] = np.maximum(np.diag(s_obs), 1e-6)
             rho = np.array([rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
                             for _ in f.edges], dtype=float)
-        k = _joint(walks, np.sqrt(var), rho)
-        factor, ll = _factor_loglik(k[ixoo], stats_aligned, check_finite=False)
+        k = lay.joint(np.sqrt(var), rho)
+        c = _cholesky(k[:p, :p])
+        ll = _loglik(c, s_obs, stats.n)
+        m = np.empty((n, n))
+        m[:p, :p] = s_obs
+        mflat = m.reshape(-1)
         converged, it = False, 0
         for it in range(1, config.max_iter + 1):
-            m = np.empty(k.shape)
-            m[ixoo] = s_obs
-            if lat:
-                # K_LO K_OO^{-1}
-                j = cho_solve(factor, k[ixlo].T, check_finite=False).T
-                m[ixol] = s_obs @ j.T
-                m[ixlo] = m[ixol].T
-                m[ixll] = k[ixll] - j @ k[ixlo].T + j @ s_obs @ j.T
-            diag = np.maximum(np.diag(m), VAR_FLOOR)
-            rho = np.clip(m[u, v] / np.sqrt(diag[u] * diag[v]), -cap, cap)
-            var[obs] = diag[obs]
-            k = _joint(walks, np.sqrt(var), rho)
-            factor, new_ll = _factor_loglik(k[ixoo], stats_aligned,
-                                            check_finite=False)
+            if p < n:
+                klo = k[p:, :p]
+                j = _solve(c, klo.T).T  # K_LO K_OO^{-1}
+                m[:p, p:] = s_obs @ j.T
+                m[p:, :p] = m[:p, p:].T
+                m[p:, p:] = k[p:, p:] - j @ klo.T + j @ s_obs @ j.T
+            diag = np.maximum(m.diagonal(), VAR_FLOOR)
+            rho = np.clip(mflat[uv] / np.sqrt(diag[u] * diag[v]), -cap, cap)
+            var[:p] = diag[:p]
+            k = lay.joint(np.sqrt(var), rho)
+            c = _cholesky(k[:p, :p])
+            new_ll = _loglik(c, s_obs, stats.n)
             converged = abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll))
             ll = new_ll
             if converged:
                 break
-        params = ModelParams(dict(zip(f.observed, var[obs].tolist())),
+        params = ModelParams(dict(zip(f.observed, var[:p].tolist())),
                              dict(zip(f.edges, rho.tolist())))
         result = EmResult(params=params, loglik=ll, iters=it, converged=converged)
         if best is None or result.loglik > best.loglik:
             best = result
     return best
-

@@ -179,6 +179,24 @@ def reference_em_fit(f, stats, config, init=None):
     return best
 
 
+def mixed_order_forest(m, seed):
+    """A trivalent tree on m leaves, a three-leaf star and an isolated
+    observed node, declared in a shuffled order that puts a latent node
+    first and latent nodes between observed ones."""
+    rng = np.random.default_rng(seed)
+    t = random_trivalent_tree(m, seed)
+    nodes = [(v, v in t.latent) for v in t.nodes]
+    nodes += [("s", True), ("y1", False), ("y2", False), ("y3", False)]
+    nodes.append(("iso", False))
+    edges = [tuple(sorted(e)) for e in t.edges]
+    edges += [("s", "y1"), ("s", "y2"), ("s", "y3")]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    first = next(i for i, (_, latent) in enumerate(nodes) if latent)
+    nodes.insert(0, nodes.pop(first))
+    return build_forest(nodes, edges)
+
+
 class TestCovariance:
     def test_quartet_entries(self, quartet):
         p = quartet_params()
@@ -279,7 +297,11 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "var3,corr_ab,message",
-        [(math.inf, 0.9, "must be positive"), (1.5, math.nan, "exceeds 1")],
+        [
+            (math.inf, 0.9, "must be positive and finite"),
+            (1.5, math.nan, r"must be a number in \[-1, 1\]"),
+        ],
+        ids=["inf-variance", "nan-correlation"],
     )
     def test_nonfinite_rejected(self, quartet, var3, corr_ab, message):
         p = quartet_params()
@@ -605,6 +627,44 @@ class TestEmMatchesReference:
             reference_em_fit(f, stats, config, init=init),
         )
 
+    @pytest.mark.parametrize("m,seed", [(3, 21), (4, 22), (5, 23), (6, 24)])
+    def test_mixed_node_order_covariance(self, m, seed):
+        f = mixed_order_forest(m, seed)
+        assert f.nodes[0] in f.latent
+        assert f.observed != f.nodes[: len(f.observed)]
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            p = random_params(f, rng)
+            want = reference_joint_covariance(f, p)
+            assert np.array_equal(joint_covariance(f, p), want)
+            idx = [f.nodes.index(v) for v in f.observed]
+            assert np.array_equal(covariance(f, p), want[np.ix_(idx, idx)])
+            # h_q reads path products from the same kernel
+            unit = ModelParams({v: 1.0 for v in f.observed}, p.edge_corr)
+            corr = reference_joint_covariance(f, unit)[np.ix_(idx, idx)]
+            cov = covariance(f, random_params(f, rng))
+            want_h = 0.0
+            for i, v in enumerate(f.observed):
+                want_h += (p.leaf_var[v] - cov[i, i]) ** 2
+            for i in range(len(idx)):
+                for j in range(i + 1, len(idx)):
+                    rho_star = cov[i, j] / math.sqrt(cov[i, i] * cov[j, j])
+                    want_h += (float(corr[i, j]) - rho_star) ** 2
+            assert h_q(f, p, cov) == want_h
+
+    @pytest.mark.parametrize("m,seed", [(3, 31), (4, 32), (5, 33), (6, 34)])
+    def test_mixed_node_order_fit(self, m, seed):
+        f = mixed_order_forest(m, seed)
+        rng = np.random.default_rng(seed)
+        x = sample(f, random_params(f, rng), 90, seed=seed)
+        stats = suff_stats(x)
+        config = EmConfig(restarts=2, max_iter=300, seed=seed)
+        self.assert_same(em_fit(f, stats, config),
+                         reference_em_fit(f, stats, config))
+        init = random_params(f, rng)
+        self.assert_same(em_fit(f, stats, config, init=init),
+                         reference_em_fit(f, stats, config, init=init))
+
     def test_clamped_correlation(self):
         # identical columns drive the edge correlation onto the clamp
         f = build_forest({"1": False, "2": False}, [("1", "2")])
@@ -627,7 +687,7 @@ class TestEmMatchesReference:
     def test_one_factorization_per_iteration(self, quartet):
         s = suff_stats(sample(quartet, quartet_params(), 60, seed=16))
         with mock.patch.object(
-            gaussian, "cho_factor", wraps=gaussian.cho_factor
+            gaussian, "dpotrf", wraps=gaussian.dpotrf
         ) as spy:
             res = em_fit(quartet, s, EmConfig(restarts=1, max_iter=7))
         assert res.iters == 7
