@@ -4,6 +4,7 @@ EM fitting, and singular BIC model selection over subforest lattices.
 
 from .engine import MonomialSos, Rlct, rlct_monomial_sos, split_parts
 from .errors import (
+    CertificateFailure,
     CycleError,
     DimensionTooLarge,
     DuplicateEdge,
@@ -76,7 +77,12 @@ from .laplace import (
     LaplaceEstimate,
     laplace_rlct_estimate,
 )
-from .polyhedra import NewtonPolyhedron, newton_facets, one_distance_mult
+from .polyhedra import (
+    NewtonPolyhedron,
+    newton_facets,
+    one_distance_lp,
+    one_distance_mult,
+)
 from .selection import (
     ChainResult,
     ScoreRow,

@@ -12,6 +12,12 @@ Its RLCT splits into two independent parts:
     by the nonzero part, contribute through the Newton polyhedron of
     their exponents: lambda = 1/t and the multiplicity is the
     codimension of the face where t*(1,...,1) first enters.
+
+Neither number needs the facet list.  ``polyhedra.one_distance_lp``
+reads t and that face off three linear programs and proves both in
+rational arithmetic; a failed proof raises CertificateFailure, never a
+float-derived answer.  The exact hull (``newton_facets`` with
+``one_distance_mult``) is the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import EmptyFiber, EmptyZeroSet, NoInteriorSolution
-from .polyhedra import newton_facets, one_distance_mult, rational_rank
+from .polyhedra import one_distance_lp, rational_rank
 
 #: margin below which an LP interior slack counts as boundary contact
 INTERIOR_TOL = 1e-7
@@ -308,7 +314,8 @@ def rlct_monomial_sos(m: MonomialSos) -> Rlct:
     """RLCT of H at its zero set within the domain.
 
     The nonzero part contributes its codimension with multiplicity 1;
-    the zero part contributes via its Newton polyhedron.  A term list
+    the zero part contributes via its Newton polyhedron, through
+    ``one_distance_lp``.  A term list
     with no zero part yields multiplicity 1; no terms at all means
     H = 0 and the threshold is (0, 1).
     """
@@ -316,6 +323,5 @@ def rlct_monomial_sos(m: MonomialSos) -> Rlct:
     lam1 = nonzero_codim(split, m.domain)
     if not split.zero_terms:
         return Rlct(Fraction(lam1), 1)
-    poly = newton_facets(split.zero_terms, len(split.complement))
-    t, mult = one_distance_mult(poly)
+    t, mult = one_distance_lp(split.zero_terms, len(split.complement))
     return Rlct(Fraction(lam1) + 1 / t, mult)

@@ -63,6 +63,10 @@ class DimensionTooLarge(LatentForestError):
     """Ambient dimension exceeds the exact hull bound."""
 
 
+class CertificateFailure(LatentForestError):
+    """An LP answer for a Newton polyhedron failed its exact check."""
+
+
 # ---------------------------------------------------------------- numerics
 
 class NotPositiveDefinite(LatentForestError):

@@ -24,6 +24,8 @@ from .forests import Edge, Forest, _as_forest, edge
 #: 1 - CORR_CLAMP] and every imputed variance at or above VAR_FLOOR.
 CORR_CLAMP = 1e-9
 VAR_FLOOR = 1e-12
+#: relative tolerance of the symmetry and eigenvalue checks on EM stats
+MOMENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -244,6 +246,17 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def _second_moment(s: np.ndarray) -> np.ndarray:
+    """s, once checked to be symmetric positive semidefinite up to
+    MOMENT_RTOL relative to its largest entry."""
+    tol = MOMENT_RTOL * float(np.abs(s).max(initial=0.0))
+    if s.size and (np.abs(s - s.T).max() > tol
+                   or np.linalg.eigvalsh(s)[0] < -tol):
+        raise NotPositiveDefinite(
+            "second moment is not symmetric positive semidefinite")
+    return s
+
+
 def _rhs(c: np.ndarray, b) -> np.ndarray:
     """b as a finite right-hand side for the factor c."""
     b = _finite(b)
@@ -293,11 +306,8 @@ def model_loglik(forest, params: ModelParams, stats: SufficientStats) -> float:
 def kl_divergence(cov_p, cov_q) -> float:
     """KL(N(0, cov_p) || N(0, cov_q))."""
     c = _cholesky(_square(cov_q), "second covariance")
-    p = np.asarray(cov_p, dtype=float)
-    try:
-        sign_p, logdet_p = np.linalg.slogdet(p)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("second covariance is not positive definite") from exc
+    p = _square(cov_p)
+    sign_p, logdet_p = np.linalg.slogdet(p)
     if sign_p <= 0:
         raise NotPositiveDefinite("first covariance is not positive definite")
     logdet_q = 2.0 * float(np.log(c.diagonal()).sum())
@@ -406,11 +416,12 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
     K_OO once by a direct LAPACK potrf call and reuses the factor, by
     potrs, for the log-likelihood of the current parameters and for the
     E-step from them.  The stats and init are checked once on entry, so
-    the loop does no finiteness checks.
+    the loop does no finiteness checks; stats that are not symmetric
+    positive semidefinite raise NotPositiveDefinite.
     """
     f = _as_forest(forest)
     config = config or EmConfig()
-    s_obs = _finite(_aligned_moment(stats, f.observed))
+    s_obs = _second_moment(_square(_aligned_moment(stats, f.observed)))
     lay = _Layout(f)
     start = None if init is None else lay.vectors(init)
     p, n = lay.p, len(lay.nodes)

@@ -1,7 +1,10 @@
 """Exact Newton polyhedra over the rationals.
 
 The Newton polyhedron of a set of exponent vectors is
-``conv(points) + R_{>=0}^d``.  Facets are computed exactly by the
+``conv(points) + R_{>=0}^d``.  ``one_distance_lp`` finds its 1-distance
+and multiplicity from linear programs and proves both in rational
+arithmetic; the RLCT engine uses it.  ``newton_facets`` lists every
+facet and is kept as its oracle.  Facets are computed exactly by the
 double description method applied to the homogenization cone
 
     C = cone{(1, v_i)} + cone{(0, e_j)}  in  R^{1+d},
@@ -16,15 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import DimensionTooLarge
+import numpy as np
+from scipy.optimize import linprog
+
+from .errors import CertificateFailure, DimensionTooLarge
 
 #: Refuse exact hulls above this ambient dimension.  Measured on a 2-core
 #: x86-64 VM: trivalent zero parts take 16 s at m = 9 leaves (dimension
-#: 15, 4038 facets) and 188 s at m = 10 (dimension 17, 12681 facets), so
-#: hulls near the bound can run far longer.
-HULL_DIM_BOUND = 20
+#: 15, 4038 facets) and 188 s at m = 10 (dimension 17, 12681 facets).
+#: Only the ``newton_facets`` oracle is bounded; ``one_distance_lp``
+#: needs no facets.
+HULL_DIM_BOUND = 15
 
 
 def _dot(a, b) -> int:
@@ -109,6 +116,15 @@ class NewtonPolyhedron:
         )
 
 
+def _generators(zero_terms, ambient_dim: int) -> list[tuple[int, ...]]:
+    """The distinct exponent vectors, sorted; ValueError on a bad one."""
+    gens = sorted({tuple(int(x) for x in u) for u in zero_terms})
+    for u in gens:
+        if len(u) != ambient_dim or any(x < 0 for x in u):
+            raise ValueError(f"bad exponent vector {u}")
+    return gens
+
+
 def newton_facets(zero_terms, ambient_dim: int) -> NewtonPolyhedron | None:
     """Exact facets of the Newton polyhedron of the given exponents.
 
@@ -119,12 +135,9 @@ def newton_facets(zero_terms, ambient_dim: int) -> NewtonPolyhedron | None:
         raise DimensionTooLarge(
             f"ambient dimension {ambient_dim} exceeds bound {HULL_DIM_BOUND}"
         )
-    gens = sorted({tuple(int(x) for x in u) for u in zero_terms})
+    gens = _generators(zero_terms, ambient_dim)
     if not gens:
         return None
-    for u in gens:
-        if len(u) != ambient_dim or any(x < 0 for x in u):
-            raise ValueError(f"bad exponent vector {u}")
 
     # every ray but e_0, the homogenization facet x0 >= 0, is a facet
     facets = sorted(
@@ -148,23 +161,159 @@ def one_distance_mult(p: NewtonPolyhedron) -> tuple[Fraction, int]:
     return t, rational_rank(tight)
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q of a sequence of rational row vectors."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return 0
-    rank = 0
-    for col in range(len(mat[0])):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+def _echelon(rows) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced echelon form of integer rows, and its pivot columns.
+
+    Eliminates without fractions: each pivot column is cleared from
+    every other row by an integer combination, and rows are kept
+    primitive, so pivots need not be 1.
+    """
+    mat = [tuple(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / prow[col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow, a = mat[r], mat[r][col]
+        for i, row in enumerate(mat):
+            b = row[col]
+            if i != r and b:
+                mat[i] = _primitive(tuple(a * x - b * y for x, y in zip(row, prow)))
+        pivots.append(col)
+    return mat, pivots
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of a sequence of rational row vectors."""
+    ints = []
+    for r in rows:
+        row = [Fraction(x) for x in r]
+        den = lcm(*(x.denominator for x in row))
+        ints.append(tuple(int(x * den) for x in row))
+    return len(_echelon(ints)[1])
+
+
+def _highs(c, a_ub, b_ub, a_eq, b_eq, bounds, what: str) -> np.ndarray:
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if res.status != 0:
+        raise CertificateFailure(f"{what} failed: {res.message}")
+    return res.x
+
+
+def _exact_solution(rows, rhs, guess) -> list[Fraction] | None:
+    """A rational solution of rows . x = rhs near the float guess.
+
+    rows and rhs are integers.  Each free variable takes its guess
+    rounded by ``limit_denominator``, and each pivot variable the value
+    that then solves the system exactly.  Returns None when the system
+    is inconsistent.
+    """
+    n = len(guess)
+    mat, pivots = _echelon([(*r, b) for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Fraction(float(g)).limit_denominator() for g in guess]
+    free = [j for j in range(n) if j not in pivots]
+    for row, col in zip(mat, pivots):
+        x[col] = Fraction(row[n] - sum(row[j] * x[j] for j in free if row[j]),
+                          row[col])
+    return x
+
+
+def one_distance_lp(zero_terms, ambient_dim: int) -> tuple[Fraction, int]:
+    """``one_distance_mult(newton_facets(...))`` without the facets.
+
+    Returns the smallest t with t*(1,...,1) in the Newton polyhedron P,
+    and the codimension of the minimal face F of P containing t*1.
+    Three HiGHS solves give floats: t (LP 1); the generators I and
+    axes J of F, as the maximal support of t*1 = sum lam_i u_i + s with
+    lam in the simplex and s >= 0 (LP 2); and a normal a of F that is
+    strict off I and J (LP 3).  Exact elimination turns them into
+    rationals, which must satisfy
+
+      (i)  lam_I > 0, s_J > 0 and tau > 0, with sum lam = tau and
+           sum lam_i u_i + sum s_j e_j = tau*t*1: t*1 lies in the
+           relative interior of F = conv{u_i : i in I} + cone{e_j : j in J};
+      (ii) a_j = 0 on J and a_j > 0 off J; a . u_i = t*sum(a) on I and
+           a . u_i > t*sum(a) off I: F is the face of P on which a is
+           smallest, and t is minimal.
+
+    The multiplicity is then d - dim F.  Raises CertificateFailure when
+    an LP fails or a check does not hold, so no answer rests on floats.
+    """
+    gens = _generators(zero_terms, ambient_dim)
+    if not gens:
+        raise ValueError("no exponent vectors")
+    d, k = ambient_dim, len(gens)
+    n = k + d
+    u = np.array(gens, dtype=float).reshape(k, d)
+    ones, eye = np.ones((d, 1)), np.eye(d)
+
+    # LP 1 over (lam, s, t): minimize t with U^T lam + s = t*1, sum lam = 1
+    simplex = np.hstack([np.ones((1, k)), np.zeros((1, d + 1))])
+    x = _highs(np.r_[np.zeros(n), 1.0], None, None,
+               np.vstack([np.hstack([u.T, eye, -ones]), simplex]),
+               np.r_[np.zeros(d), 1.0], [(0, None)] * (n + 1), "LP 1")
+    t_lp = x[-1]
+
+    # LP 2 over (lam, s, tau, z): the same point scaled by tau >= 1, with
+    # z <= min(1, (lam, s)); maximizing sum z puts z = 1 on the support.
+    # tau is capped: a t_lp above the true t by delta would let tau = 1/delta
+    # put every axis in the support (tau is below 2000 up to m = 20 leaves)
+    a_eq = np.hstack([np.vstack([np.hstack([u.T, eye, -t_lp * ones]), simplex]),
+                      np.zeros((d + 1, n))])
+    a_eq[d, n] = -1.0  # sum lam = tau
+    x = _highs(np.r_[np.zeros(n + 1), -np.ones(n)],
+               np.hstack([-np.eye(n), np.zeros((n, 1)), np.eye(n)]), np.zeros(n),
+               a_eq, np.zeros(d + 1),
+               [(0, None)] * n + [(1, 1e9)] + [(0, 1)] * n, "LP 2")
+    in_i = [i for i in range(k) if x[n + 1 + i] > 0.5]
+    in_j = [j for j in range(d) if x[n + 1 + k + j] > 0.5]
+
+    # (i) over (lam_I, s_J, tau, tau*t), scaled as LP 2 left them: every
+    # support entry is at least 1 there, so rounding cannot zero it
+    rows = [[gens[i][c] for i in in_i] + [int(j == c) for j in in_j] + [0, -1]
+            for c in range(d)]
+    rows.append([1] * len(in_i) + [0] * len(in_j) + [-1, 0])
+    guess = [x[i] for i in in_i] + [x[k + j] for j in in_j] + [x[n], x[n] * t_lp]
+    sol = _exact_solution(rows, [0] * (d + 1), guess)
+    if sol is None or any(y <= 0 for y in sol[:-1]):
+        raise CertificateFailure("t*1 is not interior to the support found")
+    t = sol[-1] / sol[-2]
+
+    # LP 3 over (a, w): a . (u_i - t*1) = 0 on I and >= w off I, a_j = 0
+    # on J and >= w off J, sum a >= 1, w in [0, 1]; maximize sum w
+    off_i = [i for i in range(k) if i not in in_i]
+    off_j = [j for j in range(d) if j not in in_j]
+    v = u - float(t)
+    nw = len(off_i) + len(off_j)
+    w_eye = np.eye(nw)
+    a_ub = np.vstack([
+        np.hstack([-v[off_i], w_eye[:len(off_i)]]),
+        np.hstack([-eye[off_j], w_eye[len(off_i):]]),
+        np.r_[-np.ones(d), np.zeros(nw)][None, :],
+    ])
+    x = _highs(np.r_[np.zeros(d), -np.ones(nw)],
+               a_ub, np.r_[np.zeros(nw), -1.0],
+               np.hstack([v[in_i], np.zeros((len(in_i), nw))]), np.zeros(len(in_i)),
+               [(0, 0) if j in in_j else (0, None) for j in range(d)]
+               + [(0, 1)] * nw, "LP 3")
+
+    # (ii) over a_j, j off J
+    p, q = t.numerator, t.denominator
+    rows = [[q * gens[i][c] - p for c in off_j] for i in in_i]
+    sol = _exact_solution(rows, [0] * len(in_i), [x[c] for c in off_j])
+    if not off_j or sol is None or any(y <= 0 for y in sol):
+        raise CertificateFailure("no normal is positive off the axes found")
+    a = dict(zip(off_j, sol))
+    if any(sum((g[c] - t) * ac for c, ac in a.items()) <= 0
+           for g in (gens[i] for i in off_i)):
+        raise CertificateFailure("the normal found is not strict off the face")
+
+    # dim F = |J| + rank of {u_i - u_i0 : i in I} off the axes J
+    u0 = gens[in_i[0]]
+    span = [[gens[i][c] - u0[c] for c in off_j] for i in in_i[1:]]
+    return t, d - len(in_j) - rational_rank(span)

@@ -400,6 +400,10 @@ class TestKl:
         with pytest.raises(NotPositiveDefinite):
             kl_divergence(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
 
+    def test_rejects_non_square_first_covariance(self):
+        with pytest.raises(ValueError, match="square"):
+            kl_divergence(np.ones((3, 2)), np.eye(3))
+
 
 class TestPhaseFunction:
     def test_zero_at_truth(self, quartet):
@@ -575,6 +579,26 @@ class TestEm:
         moment[0, 1] = moment[1, 0] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             em_fit(three_star, suff_stats_from_cov(moment, s.n))
+
+    def test_indefinite_stats_rejected(self):
+        f = build_forest({"1": False, "2": False}, [("1", "2")])
+        with pytest.raises(NotPositiveDefinite):
+            em_fit(f, suff_stats_from_cov([[1.0, 2.0], [2.0, 1.0]], 5))
+
+    def test_asymmetric_stats_rejected(self):
+        f = build_forest({"1": False, "2": False}, [("1", "2")])
+        with pytest.raises(NotPositiveDefinite):
+            em_fit(f, suff_stats_from_cov([[1.0, 0.5], [0.4, 1.0]], 5))
+
+    def test_non_square_stats_rejected(self, three_star):
+        with pytest.raises(ValueError, match="square"):
+            em_fit(three_star, suff_stats_from_cov(np.ones((3, 2)), 5))
+
+    def test_singular_stats_accepted(self, three_star):
+        # two samples of three leaves: rank 2, eigenvalues down to ~1e-17
+        x = np.random.default_rng(21).normal(size=(2, 3))
+        res = em_fit(three_star, suff_stats(x), EmConfig(restarts=1, max_iter=5))
+        assert math.isfinite(res.loglik)
 
     def test_result_unpacks(self, three_star):
         x = np.random.default_rng(14).normal(size=(20, 3))

@@ -5,13 +5,16 @@ import pytest
 from scipy.optimize import linprog
 
 from latentforest import (
+    MonomialSos,
     build_forest,
     newton_facets,
+    one_distance_lp,
     one_distance_mult,
     rlct_monomial_sos,
     zero_part_monomials,
 )
-from latentforest.errors import DimensionTooLarge
+from latentforest import polyhedra
+from latentforest.errors import CertificateFailure, DimensionTooLarge
 from latentforest.experiments import random_trivalent_tree
 from latentforest.polyhedra import _combine, _dot, rational_rank
 
@@ -154,37 +157,60 @@ class TestNewtonFacets:
         with pytest.raises(DimensionTooLarge):
             newton_facets([tuple([1] * 21)], 21)
 
+    def test_dimension_bound_edge(self):
+        d = polyhedra.HULL_DIM_BOUND + 1
+        with pytest.raises(DimensionTooLarge):
+            newton_facets([tuple([1] * d)], d)
+
+
+def random_systems():
+    """2000 seeded systems: d <= 6, 1-8 generators, entries 0-3."""
+    rng = np.random.default_rng(2026)
+    for _ in range(2000):
+        d = int(rng.integers(1, 7))
+        gens = [tuple(int(x) for x in rng.integers(0, 4, size=d))
+                for _ in range(int(rng.integers(1, 9)))]
+        yield gens, d
+
+
+TRIVALENT_GRID = (
+    [(m, k) for m in (3, 4, 5, 6) for k in range(4)]
+    + [(7, 0), (7, 1)]
+    + [pytest.param(7, 2, marks=pytest.mark.slow),
+       pytest.param(8, 0, marks=pytest.mark.slow)]
+)
+
 
 class TestMatchesReference:
-    def test_random_systems(self):
-        rng = np.random.default_rng(2026)
-        for _ in range(2000):
-            d = int(rng.integers(1, 7))
-            gens = [tuple(int(x) for x in rng.integers(0, 4, size=d))
-                    for _ in range(int(rng.integers(1, 9)))]
-            assert newton_facets(gens, d).facets == reference_newton_facets(
-                gens, d
-            ), gens
+    """The hull matches the reference, and the LP route matches the
+    hull on the same inputs."""
 
-    @pytest.mark.parametrize(
-        "m,k",
-        [(m, k) for m in (3, 4, 5, 6) for k in range(4)]
-        + [(7, 0), (7, 1)]
-        + [pytest.param(7, 2, marks=pytest.mark.slow),
-           pytest.param(8, 0, marks=pytest.mark.slow)],
-    )
+    def test_random_systems(self):
+        for gens, d in random_systems():
+            poly = newton_facets(gens, d)
+            assert poly.facets == reference_newton_facets(gens, d), gens
+            assert one_distance_lp(gens, d) == one_distance_mult(poly), gens
+
+    @pytest.mark.parametrize("m,k", TRIVALENT_GRID)
     def test_trivalent_zero_parts(self, m, k):
         sos = trivalent_zero_part(m, m, k)
         gens = [u for u, _ in sos.terms]
-        assert newton_facets(gens, sos.dim).facets == reference_newton_facets(
-            gens, sos.dim
-        )
+        poly = newton_facets(gens, sos.dim)
+        assert poly.facets == reference_newton_facets(gens, sos.dim)
+        assert one_distance_lp(gens, sos.dim) == one_distance_mult(poly)
 
-    @pytest.mark.slow
     def test_nine_leaf_trivalent_threshold(self):
         sos = trivalent_zero_part(9, 9)
         assert sos.dim == 15
         assert rlct_monomial_sos(sos).as_tuple() == (Fraction(9, 2), 1)
+
+    @pytest.mark.slow
+    def test_nine_leaf_trivalent_hull(self):
+        # dimension 15 is the largest the hull accepts
+        sos = trivalent_zero_part(9, 9)
+        gens = [u for u, _ in sos.terms]
+        assert sos.dim == polyhedra.HULL_DIM_BOUND
+        assert one_distance_lp(gens, sos.dim) == hull_distance_mult(gens, sos.dim)
 
 
 class TestOneDistance:
@@ -239,3 +265,155 @@ class TestRationalRank:
                 [tuple(Fraction(int(x)) for x in row) for row in m]
             )
             assert ours == np.linalg.matrix_rank(m.astype(float))
+
+
+# zero parts of the systems in test_engine.py, as (generators, d)
+ENGINE_TEST_SYSTEMS = [
+    ([(1,)], 1),
+    ([(1, 1)], 2),
+    ([(1, 0), (1, 0), (1, 1)], 2),
+    ([(1, 1, 0, 0), (0, 0, 1, 1)], 4),
+    ([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3),
+] + [([tuple(int(i == j) for j in range(d)) for i in range(d)], d)
+     for d in range(1, 7)]
+
+# (leaves, pendant subdivisions) of the benchmark's symbolic engine
+# items; item i is trivalent_zero_part(m, i, k)
+ENGINE_PLAN = ((5, 1), (5, 2), (6, 1), (6, 2), (7, 0), (7, 1), (8, 0))
+
+# (2,0), (1,1), (0,2) lie on the facet x + y >= 2, which 1*(1,1) meets
+# in the relative interior: t = 1 and mult 1, though (1,1) is itself a
+# generator
+COLLINEAR = [(2, 0), (1, 1), (0, 2)]
+
+
+def hull_distance_mult(gens, d):
+    return one_distance_mult(newton_facets(gens, d))
+
+
+def perturb_linprog(monkeypatch, call, change):
+    """Make the call-th linprog call in polyhedra return change(c, x)
+    in place of its solution x; c is the cost vector."""
+    calls = []
+
+    def fake(c, *args, **kwargs):
+        res = linprog(c, *args, **kwargs)
+        calls.append(c)
+        if len(calls) == call:
+            res.x = change(np.asarray(c), res.x.copy())
+        return res
+
+    monkeypatch.setattr(polyhedra, "linprog", fake)
+    return calls
+
+
+def only_middle_in_support(c, x):
+    z = np.flatnonzero(c < 0)  # LP 2 maximizes the z of the support
+    x[z] = 0.0
+    x[z[1]] = 1.0
+    return x
+
+
+def scaled(factor):
+    def change(c, x):
+        x[-1] *= factor
+        return x
+    return change
+
+
+def first_axis_in_support(c, x):
+    x[np.flatnonzero(c < 0)[1]] = 1.0  # after one generator's z
+    return x
+
+
+def all_in_support(c, x):
+    x[c < 0] = 1.0
+    return x
+
+
+def negated(c, x):
+    return -x
+
+
+class TestOneDistanceLp:
+    @pytest.mark.parametrize("gens,d", ENGINE_TEST_SYSTEMS + [(COLLINEAR, 2)])
+    def test_engine_test_systems_match_hull(self, gens, d):
+        assert one_distance_lp(gens, d) == hull_distance_mult(gens, d)
+
+    @pytest.mark.parametrize("i,mk", list(enumerate(ENGINE_PLAN)))
+    def test_benchmark_systems_match_hull(self, i, mk):
+        m, k = mk
+        sos = trivalent_zero_part(m, i, k)
+        gens = [u for u, _ in sos.terms]
+        assert one_distance_lp(gens, sos.dim) == hull_distance_mult(gens, sos.dim)
+        assert one_distance_lp(gens, sos.dim) == (Fraction(2, m), 1 + k)
+
+    @pytest.mark.parametrize("m,k", [(10, 0), (12, 0), (16, 0), (12, 2)])
+    def test_beyond_hull_reach(self, m, k):
+        sos = trivalent_zero_part(m, m, k)
+        assert sos.dim > polyhedra.HULL_DIM_BOUND
+        assert rlct_monomial_sos(sos).as_tuple() == (Fraction(m, 2), 1 + k)
+
+    def test_engine_never_builds_the_hull(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the engine built a hull")
+
+        monkeypatch.setattr(polyhedra, "newton_facets", refuse)
+        monkeypatch.setattr(polyhedra, "_facet_normals", refuse)
+        sos = trivalent_zero_part(6, 6, 1)
+        assert rlct_monomial_sos(sos).as_tuple() == (Fraction(3), 2)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            one_distance_lp([], 2)
+        with pytest.raises(ValueError):
+            one_distance_lp([(1, -1)], 2)
+        with pytest.raises(ValueError):
+            one_distance_lp([(1, 1)], 3)
+
+    @pytest.mark.parametrize(
+        "gens,call,change",
+        [(COLLINEAR, 1, scaled(0.9)),
+         (COLLINEAR, 2, only_middle_in_support),
+         (COLLINEAR, 2, all_in_support),
+         # (1,1) + cone{e_1} is a face through 1*(1,1), but not the
+         # minimal one: accepting s_1 = 0 would give mult 1, not 2
+         ([(1, 1)], 2, first_axis_in_support),
+         (COLLINEAR, 3, negated)],
+        ids=["t-too-small", "support-too-small", "support-too-large",
+             "axis-off-the-face", "normal-negated"],
+    )
+    def test_perturbed_solution_raises(self, monkeypatch, gens, call, change):
+        calls = perturb_linprog(monkeypatch, call, change)
+        with pytest.raises(CertificateFailure):
+            one_distance_lp(gens, 2)
+        assert len(calls) >= call
+
+    def test_perturbed_engine_raises(self, monkeypatch):
+        perturb_linprog(monkeypatch, 2, only_middle_in_support)
+        sos = MonomialSos(dim=2, terms=[(u, 0.0) for u in COLLINEAR],
+                          domain=[(-1.0, 1.0)] * 2)
+        with pytest.raises(CertificateFailure):
+            rlct_monomial_sos(sos)
+
+    def test_noisy_solutions_never_give_wrong_answers(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        raised = 0
+        for n, (gens, d) in enumerate(random_systems()):
+            if n == 300:
+                break
+            want = hull_distance_mult(gens, d)
+
+            def change(c, x):
+                x *= rng.uniform(0.5, 1.5, size=x.shape)
+                x[rng.random(x.shape) < 0.1] = 0.0
+                return x
+
+            perturb_linprog(monkeypatch, int(rng.integers(1, 4)), change)
+            try:
+                got = one_distance_lp(gens, d)
+            except CertificateFailure:
+                raised += 1
+                continue
+            assert got == want, gens
+        assert raised > 0
