@@ -222,6 +222,8 @@ def _aligned_moment(stats: SufficientStats, order) -> np.ndarray:
         if stats.second_moment.shape[0] != len(order):
             raise ValueError("stats dimension does not match the model")
         return stats.second_moment
+    if len(set(stats.names)) != len(stats.names):
+        raise ValueError(f"duplicate column names in {stats.names}")
     try:
         perm = [stats.names.index(v) for v in order]
     except ValueError as exc:

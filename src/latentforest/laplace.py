@@ -10,17 +10,16 @@ polyhedral computations, not a replacement for them.
 
 Sum of squares systems are split into independent blocks of variables
 (no term couples two blocks), which keeps each integral low
-dimensional.  Blocks of dimension up to two are integrated by adaptive
-quadrature seeded with the near-zero points of the phase function;
-larger blocks use stratified Monte Carlo with points shared across the
-whole n grid, so the regression sees a smooth function of n rather
-than independent noise.
+dimensional.  Blocks of dimension up to two are integrated by one
+vector quadrature over the whole n grid, split at the near-zero points
+of the phase function; larger blocks use stratified Monte Carlo with
+points shared across the grid.  Either way the regression sees a
+smooth function of n rather than independent errors.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,10 @@ M_CANDIDATES = (1, 2, 3, 4)
 class LaplaceConfig:
     mc_points: int = 10**6
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mc_points < 1:
+            raise ValueError("mc_points must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def _eval_terms(terms, pts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_minima(f, lo: float, hi: float, k: int = 2049) -> list[float]:
+def _scan_minima(f, lo: float, hi: float, k: int) -> list[float]:
     """Interior near-minimum points of f on [lo, hi], for quad hints."""
     xs = np.linspace(lo, hi, k)
     vals = f(xs)
@@ -127,49 +130,38 @@ def _scan_minima(f, lo: float, hi: float, k: int = 2049) -> list[float]:
     return out[:40]
 
 
-def _quad_block(h, box, n: int) -> float:
-    """exp(-n h) integrated over a 1 or 2 dimensional box."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if len(box) == 1:
-            (lo, hi), = box
+def _scan_quad(scan, integrand, lo: float, hi: float, k: int = 2049):
+    """Vector integrand integrated over [lo, hi], split at scan's minima."""
+    pts = _scan_minima(scan, lo, hi, k)
+    return integrate.quad_vec(integrand, lo, hi, points=pts or None)[0]
 
-            def f(xs):
-                return h(np.column_stack([np.atleast_1d(xs)]))
 
-            pts = _scan_minima(lambda xs: f(xs), lo, hi)
-            val, _ = integrate.quad(
-                lambda x: math.exp(-n * float(f(x)[0])),
-                lo, hi, points=pts or None, limit=300,
-            )
-            return val
+def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
+    """exp(-n h) integrated over a 1 or 2 dimensional box, for each n in ns.
 
-        (xlo, xhi), (ylo, yhi) = box
+    One adaptive rule covers the whole grid, so the wide small-n peaks
+    steer the subdivision towards the narrow large-n ones.
+    """
 
-        def inner(x: float) -> float:
-            def fy(ys):
-                ys = np.atleast_1d(ys)
-                return h(np.column_stack([np.full(ys.shape, x), ys]))
+    def line(head, lo, hi):
+        # integral over the last coordinate, the others fixed at head
+        def g(t):
+            t = np.atleast_1d(t)
+            cols = [np.full(t.shape, v) for v in head]
+            return h(np.column_stack(cols + [t]))
 
-            pts = _scan_minima(fy, ylo, yhi)
-            val, _ = integrate.quad(
-                lambda y: math.exp(-n * float(fy(y)[0])),
-                ylo, yhi, points=pts or None, limit=200,
-            )
-            return val
+        return _scan_quad(g, lambda t: np.exp(-ns * g(t)), lo, hi)
 
-        def fx(xs):
-            xs = np.atleast_1d(xs)
-            best = np.full(xs.shape, np.inf)
-            for y in np.linspace(ylo, yhi, 65):
-                best = np.minimum(
-                    best, h(np.column_stack([xs, np.full(xs.shape, y)]))
-                )
-            return best
+    if len(box) == 1:
+        return line((), *box[0])
+    (xlo, xhi), (ylo, yhi) = box
 
-        pts = _scan_minima(fx, xlo, xhi, k=513)
-        val, _ = integrate.quad(inner, xlo, xhi, points=pts or None, limit=200)
-        return val
+    def fx(xs):
+        gx, gy = np.meshgrid(xs, np.linspace(ylo, yhi, 65), indexing="ij")
+        vals = h(np.column_stack([gx.ravel(), gy.ravel()]))
+        return vals.reshape(gx.shape).min(axis=1)
+
+    return _scan_quad(fx, lambda x: line((x,), ylo, yhi), xlo, xhi, k=513)
 
 
 def _mc_points(box, count: int, rng) -> np.ndarray:
@@ -235,8 +227,8 @@ def laplace_rlct_estimate(
         blocks = [list(range(dim))]
 
     rng = np.random.default_rng(cfg.seed)
-    log_z = np.zeros(len(grid))
-    log_z += -np.asarray(grid, dtype=float) * const
+    ns = np.asarray(grid, dtype=float)
+    log_z = -ns * const
     used_mc = False
     worst_se = 0.0
 
@@ -252,13 +244,14 @@ def laplace_rlct_estimate(
             hb = lambda pts: np.asarray(h(pts), dtype=float)
 
         if len(coords) <= QUAD_MAX_DIM:
-            for gi, n in enumerate(grid):
-                val = _quad_block(hb, sub_box, n)
-                if not val > 0 or not math.isfinite(val):
-                    raise IntegrationFailure(
-                        f"quadrature underflow at n={n} (block {coords})"
-                    )
-                log_z[gi] += math.log(val)
+            vals = _quad_block(hb, sub_box, ns)
+            bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+            if bad.size:
+                raise IntegrationFailure(
+                    f"quadrature underflow at n={grid[bad[0]]} "
+                    f"(block {coords})"
+                )
+            log_z += np.log(vals)
         else:
             used_mc = True
             pts = _mc_points(sub_box, cfg.mc_points, rng)
@@ -275,7 +268,7 @@ def laplace_rlct_estimate(
                 worst_se = max(worst_se, se)
                 log_z[gi] += math.log(vol * mean)
 
-    logn = np.log(np.asarray(grid, dtype=float))
+    logn = np.log(ns)
     loglogn = np.log(logn)
     best = None
     rss_table = []

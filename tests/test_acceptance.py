@@ -5,9 +5,10 @@ single ``[criterion NN] PASS/FAIL`` line on the real stdout (bypassing
 pytest capture) so the verdict is visible in any log, then asserts.
 
 The slow checks pin their seeds and budgets: the whole module runs in
-about three minutes on a 2-core x86-64 VM, dominated by the
-100-replicate selection experiment (criterion 09, about two minutes)
-and the Laplace oracle (criterion 10, about 35 s).
+one to two minutes on a 2-core x86-64 VM, dominated by the
+100-replicate selection experiment (criterion 09, 45-70 s); the hull
+checks (criterion 06) and the Laplace oracle (criterion 10) take 9-16 s
+each.
 """
 
 import math

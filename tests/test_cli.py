@@ -378,6 +378,19 @@ class TestErrors:
             == 1
         )
 
+    def test_duplicate_column_names(self, star_files, tmp_path, capsys):
+        # header 1,1,2,3 must not silently fit the first "1" column
+        forest, data = star_files
+        x = np.loadtxt(data, delimiter=",", skiprows=1)
+        dup = write_csv(
+            tmp_path / "dup.csv", ["1", "1", "2", "3"],
+            np.column_stack([x[:, 0], x]),
+        )
+        assert main(["fit", "--forest", forest, "--data", dup]) == 1
+        assert "duplicate column names" in capsys.readouterr().err
+        assert main(["select", "--tree", forest, "--data", dup]) == 1
+        assert "duplicate column names" in capsys.readouterr().err
+
     def test_bad_csv(self, tmp_path, capsys):
         forest = write_forest(tmp_path / "f.json", star3())
         bad = tmp_path / "bad.csv"

@@ -350,6 +350,17 @@ class TestLoglik:
         with pytest.raises(UnknownNode):
             model_loglik(quartet, quartet_params(), s)
 
+    def test_duplicate_names(self, quartet):
+        # a repeated column name must not silently pick its first match
+        x = sample(quartet, quartet_params(), 50, seed=4)
+        s = suff_stats(
+            np.column_stack([x[:, 0], x]), names=["1", "1", "2", "3", "4"]
+        )
+        with pytest.raises(ValueError, match="duplicate"):
+            model_loglik(quartet, quartet_params(), s)
+        with pytest.raises(ValueError, match="duplicate"):
+            em_fit(quartet, s)
+
     def test_dimension_mismatch(self, quartet):
         s = suff_stats(np.eye(3))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from latentforest import (
     DEFAULT_N_GRID,
@@ -24,6 +25,14 @@ GRID7 = tuple(int(round(v)) for v in np.geomspace(1e2, 1e5, 7))
 
 def sos(terms, domain):
     return MonomialSos(dim=len(domain), terms=tuple(terms), domain=tuple(domain))
+
+
+def log_z_well(c, lo, hi, n):
+    """log of the integral of exp(-n (w - c)^2) over [lo, hi]."""
+    r = math.sqrt(n)
+    return math.log(
+        0.5 * math.sqrt(math.pi / n) * (erf(r * (hi - c)) - erf(r * (lo - c)))
+    )
 
 
 class TestBlocks:
@@ -96,6 +105,17 @@ class TestSingularModels:
         # sum of the three pairwise products squared: 3 + 3/2
         assert est.lambda_hat == pytest.approx(4.5, rel=0.2)
 
+    def test_three_star_scale_invariant(self, three_star):
+        # scaling the target covariance moves the zero set but not its
+        # threshold; narrow large-n peaks must not be missed
+        lams = [
+            laplace_rlct_estimate(
+                h_q_monomials(three_star, s * np.eye(3))
+            ).lambda_hat
+            for s in (1.0, 3.7, 37.3)
+        ]
+        assert lams == pytest.approx([lams[0]] * 3, abs=1e-9)
+
     def test_flat_function_clamps_to_zero(self):
         est = laplace_rlct_estimate(sos([], [(0.0, 1.0)]), n_grid=GRID7)
         assert est.lambda_hat <= 1e-10
@@ -109,6 +129,43 @@ class TestSingularModels:
             n_grid=(10, 20, 40, 80),
         )
         assert est.lambda_hat > 20
+
+
+class TestOffCentreWells:
+    """Separable wells (w - c)^2 against the erf closed form.
+
+    The minima sit far from the box centre and, on [-500, 500], many
+    large-n peak widths from the nearest scan grid point, so these pin
+    the quadrature break points to the right place in each coordinate.
+    """
+
+    @pytest.mark.parametrize(
+        "centre, box, tol",
+        [
+            ((37.3,), [(-50.0, 50.0)], 1e-9),
+            ((37.3,), [(-500.0, 500.0)], 1e-2),
+            pytest.param(
+                (37.3, 0.31), [(-500.0, 500.0), (0.0, 1.0)], 1e-2,
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                (0.31, 37.3), [(0.0, 1.0), (-500.0, 500.0)], 1e-2,
+                marks=pytest.mark.slow,
+            ),
+        ],
+        ids=["1d-narrow", "1d-wide", "2d-wide-x", "2d-wide-y"],
+    )
+    def test_matches_erf(self, centre, box, tol):
+        c = np.array(centre)
+        est = laplace_rlct_estimate(
+            lambda pts: ((pts - c) ** 2).sum(axis=1), domain=box
+        )
+        want = [
+            sum(log_z_well(ci, lo, hi, n) for ci, (lo, hi) in zip(c, box))
+            for n in DEFAULT_N_GRID
+        ]
+        assert np.allclose(est.log_z, want, rtol=0, atol=tol)
+        assert est.lambda_hat == pytest.approx(len(box), abs=1e-3)
 
 
 class TestFailurePaths:
@@ -157,6 +214,11 @@ class TestFailurePaths:
             laplace_rlct_estimate(h, n_grid=(300, 200, 100))
         with pytest.raises(ValueError):
             laplace_rlct_estimate(h, n_grid=(1, 5, 10))
+
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_mc_points_validated(self, points):
+        with pytest.raises(ValueError, match="mc_points"):
+            LaplaceConfig(mc_points=points)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
