@@ -11,10 +11,13 @@ polyhedral computations, not a replacement for them.
 Sum of squares systems are split into independent blocks of variables
 (no term couples two blocks), which keeps each integral low
 dimensional.  Blocks of dimension up to two are integrated by one
-vector quadrature over the whole n grid, split at the near-zero points
-of the phase function; larger blocks use stratified Monte Carlo with
-points shared across the grid.  Either way the regression sees a
-smooth function of n rather than independent errors.
+vector quadrature over the whole n grid, with break points bracketing
+the near-zero points of the phase function; blocks with equal terms
+and boxes are integrated once.  Larger blocks use stratified Monte
+Carlo with points shared across the grid.  The grid increases, so a
+point whose weight exp(-n H) has underflowed to 0.0 stays there, and
+each n only weighs the points still live.  Either way the regression
+sees a smooth function of n rather than independent errors.
 """
 
 from __future__ import annotations
@@ -105,19 +108,31 @@ def _restrict(terms, coords):
 
 
 def _eval_terms(terms, pts: np.ndarray) -> np.ndarray:
-    """Vectorized H(pts) for pts of shape (N, d)."""
-    total = np.zeros(pts.shape[0])
+    """Vectorized H(pts) for pts of shape (N, d); no term is constant."""
+    cols = {
+        j: np.ascontiguousarray(pts[:, j])
+        for u, _ in terms for j, e in enumerate(u) if e
+    }
+    total = None
     for u, c in terms:
-        mon = np.ones(pts.shape[0])
+        mon = None
         for j, e in enumerate(u):
             if e:
-                mon = mon * pts[:, j] ** e
-        total += (mon - c) ** 2
+                f = cols[j] if e == 1 else cols[j] ** e
+                mon = f if mon is None else mon * f
+        sq = np.square(mon - c)
+        total = sq if total is None else np.add(total, sq, out=total)
     return total
 
 
 def _scan_minima(f, lo: float, hi: float, k: int) -> list[float]:
-    """Interior near-minimum points of f on [lo, hi], for quad hints."""
+    """Interior near-minimum points of f on [lo, hi], for quad hints.
+
+    The scan points just outside the near-minimum set are hints too, so
+    a lone peak lies inside a short panel.  The hit alone would not do:
+    Gauss-Kronrod nodes skip panel ends, so the tail of a peak beside a
+    long panel is lost.
+    """
     xs = np.linspace(lo, hi, k)
     vals = f(xs)
     cut = vals.min() + 1e-12 + 1e-6 * (vals.max() - vals.min())
@@ -127,7 +142,9 @@ def _scan_minima(f, lo: float, hi: float, k: int) -> list[float]:
         x = float(xs[i])
         if lo < x < hi and (not out or x - out[-1] > (hi - lo) / 64):
             out.append(x)
-    return out[:40]
+    edges = [hits[0] - 1, hits[-1] + 1] if hits.size else []
+    sides = [float(xs[i]) for i in edges if 0 < i < k - 1]
+    return sorted(out[:40] + sides)
 
 
 def _scan_quad(scan, integrand, lo: float, hi: float, k: int = 2049):
@@ -147,8 +164,10 @@ def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
         # integral over the last coordinate, the others fixed at head
         def g(t):
             t = np.atleast_1d(t)
-            cols = [np.full(t.shape, v) for v in head]
-            return h(np.column_stack(cols + [t]))
+            pts = np.empty((t.size, len(head) + 1))
+            pts[:, :-1] = head
+            pts[:, -1] = t
+            return h(pts)
 
         return _scan_quad(g, lambda t: np.exp(-ns * g(t)), lo, hi)
 
@@ -165,17 +184,64 @@ def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
 
 
 def _mc_points(box, count: int, rng) -> np.ndarray:
+    """Uniform points in box, one per cell of a k^d grid up to d = 3.
+
+    The (N, d) result is stored column by column, so each coordinate is
+    one contiguous array.
+    """
     d = len(box)
-    lo = np.array([b[0] for b in box])
-    wid = np.array([b[1] - b[0] for b in box])
     if d <= 3:
         k = max(2, int(round(count ** (1.0 / d))))
-        grids = np.meshgrid(*[np.arange(k)] * d, indexing="ij")
-        base = np.column_stack([g.ravel() for g in grids]).astype(float)
-        u = (base + rng.random(base.shape)) / k
+        u = rng.random((k**d, d))
     else:
         u = rng.random((count, d))
-    return lo + u * wid
+    pts = np.empty((d, len(u)))
+    for j, (lo, hi) in enumerate(box):
+        col = pts[j]
+        if d <= 3:
+            # add the cell index along axis j, then shrink to [0, 1)
+            along_j = [k if i == j else 1 for i in range(d)]
+            np.add(
+                u[:, j].reshape((k,) * d),
+                np.arange(k).reshape(along_j),
+                out=col.reshape((k,) * d),
+            )
+            col /= k
+        else:
+            col[:] = u[:, j]
+        col *= hi - lo
+        col += lo
+    return pts.T
+
+
+def _mc_block(h, box, ns: np.ndarray, count: int, rng):
+    """Monte Carlo exp(-n h) over box for each n in ns, with relative errors.
+
+    Both arrays are 0.0 from the first n whose mass underflows.  ns
+    increases, so a point whose weight is exactly 0.0 at one n stays 0.0
+    at every larger n: only the points that still carry weight go on to
+    the next n.  The mean still divides by every point, and each dropped
+    point adds its (0 - mean)^2 to the variance.
+    """
+    live = h(_mc_points(box, count, rng))
+    total = live.size
+    vol = float(np.prod([hi - lo for lo, hi in box]))
+    z = np.zeros(len(ns))
+    se = np.zeros(len(ns))
+    for gi, n in enumerate(ns):
+        w = np.multiply(live, -n)
+        np.exp(w, out=w)
+        mean = float(w.sum()) / total
+        if mean <= 0.0:
+            break
+        keep = w != 0.0
+        w -= mean
+        var = (float(w @ w) + (total - live.size) * mean * mean) / total
+        se[gi] = math.sqrt(var) / math.sqrt(total) / mean
+        z[gi] = vol * mean
+        if not keep.all():
+            live = live[keep]
+    return z, se
 
 
 def laplace_rlct_estimate(
@@ -215,6 +281,7 @@ def laplace_rlct_estimate(
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise IntegrationFailure("integration box must be bounded")
+    box = [(float(lo), float(hi)) for lo, hi in box]
 
     if terms is not None:
         const = sum(
@@ -231,6 +298,8 @@ def laplace_rlct_estimate(
     log_z = -ns * const
     used_mc = False
     worst_se = 0.0
+    # quadrature values by (terms, box): equal blocks are integrated once
+    shared: dict = {}
 
     for coords in blocks:
         sub_box = [box[i] for i in coords]
@@ -240,11 +309,15 @@ def laplace_rlct_estimate(
                 log_z += sum(math.log(hi - lo) for lo, hi in sub_box)
                 continue
             hb = lambda pts, t=sub_terms: _eval_terms(t, pts)
+            key = (tuple(sub_terms), tuple(sub_box))
         else:
             hb = lambda pts: np.asarray(h(pts), dtype=float)
+            key = None  # a callable is one block
 
         if len(coords) <= QUAD_MAX_DIM:
-            vals = _quad_block(hb, sub_box, ns)
+            if key not in shared:
+                shared[key] = _quad_block(hb, sub_box, ns)
+            vals = shared[key]
             bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
             if bad.size:
                 raise IntegrationFailure(
@@ -254,19 +327,15 @@ def laplace_rlct_estimate(
             log_z += np.log(vals)
         else:
             used_mc = True
-            pts = _mc_points(sub_box, cfg.mc_points, rng)
-            vals = hb(pts)
-            vol = float(np.prod([hi - lo for lo, hi in sub_box]))
-            for gi, n in enumerate(grid):
-                w = np.exp(-n * vals)
-                mean = float(w.mean())
-                if mean <= 0.0:
-                    raise IntegrationFailure(
-                        f"Monte Carlo mass underflow at n={n} (block {coords})"
-                    )
-                se = float(w.std()) / math.sqrt(len(w)) / mean
-                worst_se = max(worst_se, se)
-                log_z[gi] += math.log(vol * mean)
+            vals, se = _mc_block(hb, sub_box, ns, cfg.mc_points, rng)
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                raise IntegrationFailure(
+                    f"Monte Carlo mass underflow at n={grid[bad[0]]} "
+                    f"(block {coords})"
+                )
+            worst_se = max(worst_se, *se)
+            log_z += np.log(vals)
 
     logn = np.log(ns)
     loglogn = np.log(logn)

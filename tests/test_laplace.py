@@ -18,13 +18,56 @@ from latentforest import (
     laplace_rlct_estimate,
     rlct_monomial_sos,
 )
-from latentforest.laplace import _blocks
+from latentforest import laplace
+from latentforest.laplace import _blocks, _mc_points, _restrict
 
 GRID7 = tuple(int(round(v)) for v in np.geomspace(1e2, 1e5, 7))
 
 
 def sos(terms, domain):
     return MonomialSos(dim=len(domain), terms=tuple(terms), domain=tuple(domain))
+
+
+def three_star_sos(scale=1.0):
+    star = build_forest(
+        [("1", False), ("2", False), ("3", False), ("h", True)],
+        [("h", "1"), ("h", "2"), ("h", "3")],
+    )
+    return h_q_monomials(star, scale * np.eye(3))
+
+
+def reference_mc_points(box, count, rng):
+    """Stratified points built from a meshgrid of cell indices: the
+    generator that `_mc_points` replaced, kept as its oracle."""
+    d = len(box)
+    lo = np.array([b[0] for b in box])
+    wid = np.array([b[1] - b[0] for b in box])
+    if d <= 3:
+        k = max(2, int(round(count ** (1.0 / d))))
+        grids = np.meshgrid(*[np.arange(k)] * d, indexing="ij")
+        base = np.column_stack([g.ravel() for g in grids]).astype(float)
+        u = (base + rng.random(base.shape)) / k
+    else:
+        u = rng.random((count, d))
+    return lo + u * wid
+
+
+def reference_mc_block(h, box, ns, count, rng):
+    """The Monte Carlo loop that `_mc_block` replaced, kept as its oracle:
+    every point is weighted at every n, and numpy's mean and std see
+    the whole weight vector."""
+    vals = h(reference_mc_points(box, count, rng))
+    vol = float(np.prod([hi - lo for lo, hi in box]))
+    z = np.zeros(len(ns))
+    se = np.zeros(len(ns))
+    for gi, n in enumerate(ns):
+        w = np.exp(-n * vals)
+        mean = float(w.mean())
+        if mean <= 0.0:
+            break
+        se[gi] = float(w.std()) / math.sqrt(len(w)) / mean
+        z[gi] = vol * mean
+    return z, se
 
 
 def log_z_well(c, lo, hi, n):
@@ -143,13 +186,13 @@ class TestOffCentreWells:
         "centre, box, tol",
         [
             ((37.3,), [(-50.0, 50.0)], 1e-9),
-            ((37.3,), [(-500.0, 500.0)], 1e-2),
+            ((37.3,), [(-500.0, 500.0)], 1e-9),
             pytest.param(
-                (37.3, 0.31), [(-500.0, 500.0), (0.0, 1.0)], 1e-2,
+                (37.3, 0.31), [(-500.0, 500.0), (0.0, 1.0)], 1e-11,
                 marks=pytest.mark.slow,
             ),
             pytest.param(
-                (0.31, 37.3), [(0.0, 1.0), (-500.0, 500.0)], 1e-2,
+                (0.31, 37.3), [(0.0, 1.0), (-500.0, 500.0)], 1e-11,
                 marks=pytest.mark.slow,
             ),
         ],
@@ -199,7 +242,8 @@ class TestFailurePaths:
             )
 
     def test_monte_carlo_underflow(self):
-        with pytest.raises(IntegrationFailure):
+        match = r"Monte Carlo mass underflow at n=100 \(block \[0, 1, 2\]\)"
+        with pytest.raises(IntegrationFailure, match=match):
             laplace_rlct_estimate(
                 sos([((1, 1, 1), 30.0)], [(0.0, 1.0)] * 3), n_grid=GRID7
             )
@@ -271,3 +315,94 @@ class TestInterfaces:
         assert len(est.residuals) == len(GRID7)
         assert dict(est.rss_by_mult).keys() == {1, 2, 3, 4}
         assert est.mc_std_err is None
+
+
+class TestMonteCarloOracle:
+    """The live-point Monte Carlo pass against the loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "box, count",
+        [
+            ([(0.0, 1.0)], 1000),
+            ([(0.0, 2.0), (-1.0, 1.0)], 10**4),
+            ([(-1.0, 1.0), (0.0, 3.5), (-2.0, 0.5)], 10**6),
+            ([(0.0, 1.0), (-0.5, 0.5), (1.0, 4.0), (-3.0, -1.0)], 10**4),
+        ],
+        ids=["d1", "d2", "d3", "d4"],
+    )
+    def test_points_match_reference(self, box, count):
+        got = _mc_points(box, count, np.random.default_rng(3))
+        want = reference_mc_points(box, count, np.random.default_rng(3))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            three_star_sos(1.0),
+            three_star_sos(37.3),
+            sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3),
+            sos(
+                [((1, 1, 0, 0), 0.2), ((0, 1, 1, 0), 0.3), ((0, 0, 1, 1), 0.1)],
+                [(0.0, 1.0)] * 4,
+            ),
+        ],
+        ids=["star-1", "star-37.3", "xyz-0.1", "chain-4d"],
+    )
+    def test_estimate_matches_reference(self, h, monkeypatch):
+        got = laplace_rlct_estimate(h)
+        monkeypatch.setattr(laplace, "_mc_block", reference_mc_block)
+        want = laplace_rlct_estimate(h)
+        assert got.method == want.method == "monte_carlo"
+        assert np.allclose(got.log_z, want.log_z, rtol=0, atol=1e-14)
+        assert got.mc_std_err == pytest.approx(want.mc_std_err, rel=1e-12)
+        assert got.lambda_hat == want.lambda_hat
+        assert got.mult_hat == want.mult_hat
+
+
+class TestSharedBlocks:
+    """Blocks with equal terms and boxes are integrated once."""
+
+    @pytest.mark.parametrize(
+        "h, quad_calls",
+        [
+            (
+                sos(
+                    [((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0)],
+                    [(-1.0, 1.0)] * 3,
+                ),
+                1,
+            ),
+            (three_star_sos(1.0), 1),
+            (
+                sos(
+                    [((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0)],
+                    [(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)],
+                ),
+                2,
+            ),
+        ],
+        ids=["regular-d3", "three-star", "regular-d3-two-boxes"],
+    )
+    def test_equal_blocks_integrated_once(self, h, quad_calls, monkeypatch):
+        calls = []
+        quad = laplace._quad_block
+
+        def spy(*args):
+            calls.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(laplace, "_quad_block", spy)
+        got = laplace_rlct_estimate(h).log_z
+        assert len(calls) == quad_calls
+
+        # the unshared computation: one estimate per block, summed in
+        # block order (no term is constant, so nothing else enters)
+        assert all(any(u) for u, _ in h.terms)
+        want = np.zeros(len(DEFAULT_N_GRID))
+        for coords in _blocks(list(h.terms), h.dim):
+            part = sos(
+                _restrict(h.terms, coords), [h.domain[i] for i in coords]
+            )
+            want += laplace_rlct_estimate(part).log_z
+        assert got == tuple(want)
