@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .experiments import ExperimentConfig, run_experiment
 from .forest_rlct import rlct_forest_pair
 from .forests import forest_from_json, subforest_lattice
 from .gaussian import EmConfig, em_fit, suff_stats
-from .selection import pruned_chain, score_lattice
+from .selection import pruned_chain, select_exhaustive
 
 
 class _Usage(Exception):
@@ -48,16 +47,22 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _read_samples(path: str):
+def _read_forest(path: str):
+    return forest_from_json(Path(path).read_text())
+
+
+def _read_stats(path: str):
+    """Sufficient statistics of a samples CSV: one header row, then one
+    sample per row; blank rows are skipped."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
+        rows = [r for r in csv.reader(fh) if r]
+    if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
-    data = np.array([[float(c) for c in r] for r in rows[1:]], dtype=float)
-    if data.shape[1] != len(names):
+    if any(len(r) != len(names) for r in rows[1:]):
         raise ValueError(f"{path}: ragged rows")
-    return names, data
+    data = np.array([[float(c) for c in r] for r in rows[1:]], dtype=float)
+    return suff_stats(data, names=names)
 
 
 def _seed(args) -> int:
@@ -81,44 +86,29 @@ def _em_config(args) -> EmConfig:
 
 
 # --------------------------------------------------------------------------
-# handlers: each returns the stdout text
+# handlers: each returns the stdout text, or with --json the document
+# that main writes
 
 
-def _cmd_rlct_forest(args) -> str:
-    host = forest_from_json(Path(args.host).read_text())
-    sub = forest_from_json(Path(args.sub).read_text())
-    r = rlct_forest_pair(host, sub)
-    if args.json:
-        return json.dumps({"lambda": str(r.lam), "mult": r.mult}) + "\n"
-    return f"{r}\n"
+def _cmd_rlct(args):
+    if args.what == "forest":
+        r = rlct_forest_pair(_read_forest(args.host), _read_forest(args.sub))
+    else:
+        r = rlct_monomial_sos(MonomialSos.from_json(Path(args.infile).read_text()))
+    return {"lambda": str(r.lam), "mult": r.mult} if args.json else f"{r}\n"
 
 
-def _cmd_rlct_mono(args) -> str:
-    m = MonomialSos.from_json(Path(args.infile).read_text())
-    r = rlct_monomial_sos(m)
-    if args.json:
-        return json.dumps({"lambda": str(r.lam), "mult": r.mult}) + "\n"
-    return f"{r}\n"
-
-
-def _cmd_fit(args) -> str:
-    forest = forest_from_json(Path(args.forest).read_text())
-    names, data = _read_samples(args.data)
-    stats = suff_stats(data, names=names)
-    res = em_fit(forest, stats, _em_config(args))
+def _cmd_fit(args):
+    forest = _read_forest(args.forest)
+    res = em_fit(forest, _read_stats(args.data), _em_config(args))
     params = json.loads(res.params.to_json())
     if args.json:
-        return (
-            json.dumps(
-                {
-                    "loglik": res.loglik,
-                    "iters": res.iters,
-                    "converged": res.converged,
-                    "params": params,
-                }
-            )
-            + "\n"
-        )
+        return {
+            "loglik": res.loglik,
+            "iters": res.iters,
+            "converged": res.converged,
+            "params": params,
+        }
     return (
         f"loglik={res.loglik!r}\n"
         f"iters={res.iters} converged={str(res.converged).lower()}\n"
@@ -126,38 +116,27 @@ def _cmd_fit(args) -> str:
     )
 
 
-def _cmd_select(args) -> str:
-    tree = forest_from_json(Path(args.tree).read_text())
-    names, data = _read_samples(args.data)
-    stats = suff_stats(data, names=names)
+def _cmd_select(args):
+    tree = _read_forest(args.tree)
+    stats = _read_stats(args.data)
     cfg = _em_config(args)
     crit = args.criterion
     if args.lattice == "exhaustive":
-        lat = subforest_lattice(tree)
-        table = score_lattice(lat, stats, cfg)
-        code = lat.code_string(table.best(crit))
+        _, table = select_exhaustive(tree, stats, crit, cfg)
     else:
-        res = pruned_chain(tree, stats, cfg)
-        pick = res.selected_bic if crit == "bic" else res.selected_sbic
-        table = res.table
-        code = table.rows[res.chain.index(pick)].code
-    rows = json.loads(table.to_json())
+        table = pruned_chain(tree, stats, cfg).table
+    code = table.row(table.best(crit)).code
     if args.json:
-        return (
-            json.dumps(
-                {
-                    "selected": code,
-                    "criterion": crit,
-                    "n": table.n,
-                    "table": rows,
-                }
-            )
-            + "\n"
-        )
+        return {
+            "selected": code,
+            "criterion": crit,
+            "n": table.n,
+            "table": json.loads(table.to_json()),
+        }
     return f"selected={code}\ncriterion={crit}\n{table.to_csv()}"
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     if getattr(args, "seed", None) is not None or "LF_SEED" in os.environ:
         cfg = replace(cfg, master_seed=_seed(args))
@@ -170,43 +149,20 @@ def _cmd_simulate(args) -> str:
     if args.edges_out:
         Path(args.edges_out).write_text(result.edges_csv())
     if args.json:
-        return (
-            json.dumps(
-                {
-                    "config": json.loads(cfg.to_json()),
-                    "rows": [
-                        {
-                            "criterion": r.criterion,
-                            "n": r.n,
-                            "label": r.label,
-                            "count": r.count,
-                        }
-                        for r in result.rows
-                    ],
-                    "codes": list(result.codes),
-                    "hasse": [list(e) for e in result.hasse],
-                }
-            )
-            + "\n"
-        )
+        return {
+            "config": json.loads(cfg.to_json()),
+            "rows": [asdict(r) for r in result.rows],
+            "codes": result.codes,
+            "hasse": result.hasse,
+        }
     return counts
 
 
-def _cmd_lattice(args) -> str:
-    tree = forest_from_json(Path(args.tree).read_text())
-    lat = subforest_lattice(tree)
-    codes = [lat.code_string(i) for i in range(len(lat.classes))]
+def _cmd_lattice(args):
+    lat = subforest_lattice(_read_forest(args.tree))
+    codes = [lat.code_string(i) for i in range(len(lat))]
     if args.json:
-        return (
-            json.dumps(
-                {
-                    "count": len(codes),
-                    "codes": codes,
-                    "covers": [list(e) for e in lat.covers()],
-                }
-            )
-            + "\n"
-        )
+        return {"count": len(codes), "codes": codes, "covers": lat.covers()}
     return "".join(c + "\n" for c in codes)
 
 
@@ -232,16 +188,15 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     rl = sub.add_parser("rlct", help="learning coefficients")
+    rl.set_defaults(handler=_cmd_rlct)
     rlsub = rl.add_subparsers(dest="what", required=True)
     rf = rlsub.add_parser("forest", parents=[common],
                           help="subforest inside a host forest")
     rf.add_argument("--host", required=True)
     rf.add_argument("--sub", required=True)
-    rf.set_defaults(handler=_cmd_rlct_forest)
     rm = rlsub.add_parser("mono", parents=[common],
                           help="monomial sum of squares system")
     rm.add_argument("--in", required=True, dest="infile")
-    rm.set_defaults(handler=_cmd_rlct_mono)
 
     ft = sub.add_parser("fit", parents=[common, em],
                         help="EM fit of one forest")
@@ -276,43 +231,28 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _fail(json_mode: bool, label: str, exc: Exception, kind: str) -> None:
+    if json_mode:
+        doc = {"error": {"type": kind, "message": str(exc)}}
+        sys.stderr.write(json.dumps(doc) + "\n")
+    else:
+        sys.stderr.write(f"{label}: {exc}\n")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    json_mode = "--json" in argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _Usage as exc:
-        if json_mode:
-            sys.stderr.write(
-                json.dumps(
-                    {"error": {"type": "UsageError", "message": str(exc)}}
-                )
-                + "\n"
-            )
-        else:
-            sys.stderr.write(f"usage error: {exc}\n")
+        _fail("--json" in argv, "usage error", exc, "UsageError")
         return 2
     try:
         out = args.handler(args)
     except (LatentForestError, ValueError, KeyError, OSError,
             np.linalg.LinAlgError) as exc:
-        if args.json:
-            sys.stderr.write(
-                json.dumps(
-                    {
-                        "error": {
-                            "type": type(exc).__name__,
-                            "message": str(exc),
-                        }
-                    }
-                )
-                + "\n"
-            )
-        else:
-            sys.stderr.write(f"error: {exc}\n")
+        _fail(args.json, "error", exc, type(exc).__name__)
         return 1
-    sys.stdout.write(out)
+    sys.stdout.write(json.dumps(out) + "\n" if args.json else out)
     return 0
 
 

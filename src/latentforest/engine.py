@@ -133,10 +133,6 @@ class PartSplit:
     support: tuple[int, ...]
     complement: tuple[int, ...]
 
-    @property
-    def support_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.support, self.complement)
-
 
 def split_parts(m: MonomialSos) -> PartSplit:
     """Split terms by constant and project the zero part.

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,8 +30,8 @@ from .forests import (
     steiner_subforest,
     subforest_lattice,
 )
-from .gaussian import EmConfig, ModelParams, covariance, sample, suff_stats
-from .selection import em_fit, pruned_chain, sbic_all
+from .gaussian import EmConfig, ModelParams, sample, suff_stats
+from .selection import pruned_chain, score_lattice
 
 
 def lattice5_host() -> Forest:
@@ -51,12 +53,11 @@ def lattice5_host() -> Forest:
 
 def lattice5_truth_index(lattice: ModelLattice) -> int:
     """Index of the data generating class: the host minus its 3--c edge."""
-    mask = (1 << len(lattice.host.edges)) - 1
-    mask &= ~(1 << 5)
-    for i, m in enumerate(lattice.steiner_masks):
-        if m == mask:
-            return i
-    raise LookupError("truth class not found; wrong host?")
+    mask = ((1 << len(lattice.host.edges)) - 1) & ~(1 << 5)
+    try:
+        return lattice.steiner_masks.index(mask)
+    except ValueError:
+        raise LookupError("truth class not found; wrong host?") from None
 
 
 def random_trivalent_tree(m: int, seed) -> Forest:
@@ -102,6 +103,8 @@ def random_subforest_at_depth(t: Forest, depth: int, seed) -> CanonicalForest:
 # experiment configuration and results
 
 KINDS = ("lattice5", "depth_comparison")
+# the settings a config JSON document carries, in the order written
+_JSON_FIELDS = ("kind", "n_values", "replicates", "master_seed", "m", "corr")
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for key in ("replicates", "master_seed"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ValueError(f"{key} must be an integer")
+        for key in ("n_values", "m"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list")
+        if not isinstance(self.corr, numbers.Real):
+            raise ValueError("corr must be a number")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
         if self.replicates < 1:
@@ -135,28 +146,14 @@ class ExperimentConfig:
             raise ValueError("edge correlation level must be in (0, 1)")
 
     def to_json(self) -> str:
-        d = {
-            "kind": self.kind,
-            "n_values": list(self.n_values),
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "m": list(self.m),
-            "corr": self.corr,
-        }
-        return json.dumps(d)
+        return json.dumps({key: getattr(self, key) for key in _JSON_FIELDS})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         d = json.loads(text)
-        kw = {}
-        for key in ("kind", "n_values", "replicates", "master_seed", "m", "corr"):
-            if key in d:
-                kw[key] = d[key]
-        if "n_values" in kw:
-            kw["n_values"] = tuple(kw["n_values"])
-        if "m" in kw:
-            kw["m"] = tuple(kw["m"])
-        return cls(**kw)
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ValueError("config must be a JSON object with a kind")
+        return cls(**{key: d[key] for key in _JSON_FIELDS if key in d})
 
 
 @dataclass(frozen=True)
@@ -217,88 +214,63 @@ def _seed_int(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _truth_params(host: Forest, rep: Forest, corr: float) -> ModelParams:
+    """Unit leaf variances and one correlation on every truth edge."""
+    return ModelParams(
+        leaf_var={v: 1.0 for v in host.observed},
+        edge_corr={e: corr for e in rep.edges},
+    )
+
+
 def _run_lattice5(cfg: ExperimentConfig) -> ExperimentResult:
     host = lattice5_host()
     lat = subforest_lattice(host)
-    truth = lat.classes[lattice5_truth_index(lat)]
-    rep_forest = steiner_subforest(host, truth)
-    params = ModelParams(
-        leaf_var={v: 1.0 for v in host.observed},
-        edge_corr={e: cfg.corr for e in rep_forest.edges},
-    )
-
-    def one(job: tuple[int, int]) -> tuple[int, int, int, int]:
-        r, n = job
-        data = sample(
-            rep_forest, params, n, seed=np.random.SeedSequence([cfg.master_seed, r, n])
-        )
-        stats = suff_stats(data, names=rep_forest.observed)
-        em = replace(cfg.em, seed=_seed_int(cfg.master_seed, r, n, 1))
-        fits = [em_fit(c, stats, em) for c in lat.classes]
-        table = sbic_all(lat, fits, n)
-        return (r, n, table.best("bic"), table.best("sbic"))
-
-    jobs = [(r, n) for n in cfg.n_values for r in range(cfg.replicates)]
-    picks = [one(job) for job in jobs]
-
-    tally: dict[tuple[str, int, int], int] = {}
-    for _, n, b, s in picks:
-        tally[("bic", n, b)] = tally.get(("bic", n, b), 0) + 1
-        tally[("sbic", n, s)] = tally.get(("sbic", n, s), 0) + 1
-    k = len(lat.classes)
+    rep = steiner_subforest(host, lat.classes[lattice5_truth_index(lat)])
+    params = _truth_params(host, rep, cfg.corr)
+    ms = cfg.master_seed
+    tally: Counter[tuple[str, int, int]] = Counter()
+    for n in cfg.n_values:
+        for r in range(cfg.replicates):
+            data = sample(rep, params, n, seed=np.random.SeedSequence([ms, r, n]))
+            stats = suff_stats(data, names=rep.observed)
+            em = replace(cfg.em, seed=_seed_int(ms, r, n, 1))
+            table = score_lattice(lat, stats, em)
+            for crit in ("bic", "sbic"):
+                tally[crit, n, table.best(crit)] += 1
+    codes = tuple(lat.code_string(j) for j in range(len(lat)))
     rows = tuple(
-        CountRow(crit, n, lat.code_string(j), tally.get((crit, n, j), 0))
+        CountRow(crit, n, code, tally[crit, n, j])
         for crit in ("bic", "sbic")
         for n in cfg.n_values
-        for j in range(k)
+        for j, code in enumerate(codes)
     )
     return ExperimentResult(
-        config=cfg,
-        rows=rows,
-        codes=tuple(lat.code_string(j) for j in range(k)),
-        hasse=tuple(lat.covers()),
+        config=cfg, rows=rows, codes=codes, hasse=tuple(lat.covers())
     )
 
 
 def _run_depth_comparison(cfg: ExperimentConfig) -> ExperimentResult:
-    def one(job: tuple[int, int]) -> list[tuple[str, int, str, bool]]:
-        m, r = job
-        tree = random_trivalent_tree(
-            m, np.random.SeedSequence([cfg.master_seed, m, r, 0])
-        )
-        truth = random_subforest_at_depth(
-            tree, (m - 1) // 2, np.random.SeedSequence([cfg.master_seed, m, r, 1])
-        )
-        rep_forest = steiner_subforest(tree, truth)
-        params = ModelParams(
-            leaf_var={v: 1.0 for v in tree.observed},
-            edge_corr={e: cfg.corr for e in rep_forest.edges},
-        )
-        out = []
-        for n in cfg.n_values:
-            data = sample(
-                rep_forest,
-                params,
-                n,
-                seed=np.random.SeedSequence([cfg.master_seed, m, r, 2, n]),
+    ms = cfg.master_seed
+    hits: Counter[tuple[str, int, int]] = Counter()
+    for m in cfg.m:
+        for r in range(cfg.replicates):
+            tree = random_trivalent_tree(m, np.random.SeedSequence([ms, m, r, 0]))
+            truth = random_subforest_at_depth(
+                tree, (m - 1) // 2, np.random.SeedSequence([ms, m, r, 1])
             )
-            stats = suff_stats(data, names=rep_forest.observed)
-            em = replace(cfg.em, seed=_seed_int(cfg.master_seed, m, r, n, 3))
-            res = pruned_chain(tree, stats, em)
-            out.append((f"m={m}", n, "bic", res.selected_bic == truth))
-            out.append((f"m={m}", n, "sbic", res.selected_sbic == truth))
-        return out
-
-    jobs = [(m, r) for m in cfg.m for r in range(cfg.replicates)]
-    results = [one(job) for job in jobs]
-
-    tally: dict[tuple[str, int, str], int] = {}
-    for chunk in results:
-        for label, n, crit, hit in chunk:
-            key = (crit, n, label)
-            tally[key] = tally.get(key, 0) + int(hit)
+            rep = steiner_subforest(tree, truth)
+            params = _truth_params(tree, rep, cfg.corr)
+            for n in cfg.n_values:
+                data = sample(
+                    rep, params, n, seed=np.random.SeedSequence([ms, m, r, 2, n])
+                )
+                stats = suff_stats(data, names=rep.observed)
+                em = replace(cfg.em, seed=_seed_int(ms, m, r, n, 3))
+                res = pruned_chain(tree, stats, em)
+                hits["bic", n, m] += res.selected_bic == truth
+                hits["sbic", n, m] += res.selected_sbic == truth
     rows = tuple(
-        CountRow(crit, n, f"m={m}", tally.get((crit, n, f"m={m}"), 0))
+        CountRow(crit, n, f"m={m}", hits[crit, n, m])
         for crit in ("bic", "sbic")
         for n in cfg.n_values
         for m in cfg.m

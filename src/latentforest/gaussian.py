@@ -345,7 +345,7 @@ def h_q(host, params: ModelParams, cov, names=None) -> float:
     return total
 
 
-def h_q_monomials(host, cov, names=None, var_bound=None) -> MonomialSos:
+def h_q_monomials(host, cov, names=None) -> MonomialSos:
     """The phase function H_q of a host forest at a target covariance.
 
     Coordinates are the observed variances (host.observed order)
@@ -354,6 +354,8 @@ def h_q_monomials(host, cov, names=None, var_bound=None) -> MonomialSos:
     connected in the host contributes (prod_path w_e - rho_ij)^2.
     Pairs disconnected in the host must have target correlation exactly
     zero, otherwise no parameter choice reproduces the covariance.
+    The domain box takes each variance in [0, twice the largest target
+    variance] and each correlation in [-1, 1].
     """
     f = _as_forest(host)
     cov = np.asarray(cov, dtype=float)
@@ -389,9 +391,8 @@ def h_q_monomials(host, cov, names=None, var_bound=None) -> MonomialSos:
             for e in pathe:
                 u[ecoord[e]] = 1
             terms.append((tuple(u), rho))
-    if var_bound is None:
-        var_bound = 2.0 * float(np.max(np.diag(cov)))
-    domain = ((0.0, float(var_bound)),) * nv + ((-1.0, 1.0),) * ne
+    var_bound = 2.0 * float(np.max(np.diag(cov)))
+    domain = ((0.0, var_bound),) * nv + ((-1.0, 1.0),) * ne
     return MonomialSos(dim=dim, terms=tuple(terms), domain=domain)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestFit:
         first = capsys.readouterr().out
         main(["fit", "--forest", forest, "--data", data])
         assert capsys.readouterr().out == first
+
+    def test_trailing_blank_line_skipped(self, star_files, tmp_path, capsys):
+        forest, data = star_files
+        main(["fit", "--forest", forest, "--data", data])
+        plain = capsys.readouterr().out
+        blank = tmp_path / "blank.csv"
+        blank.write_text(Path(data).read_text() + "\n")
+        assert main(["fit", "--forest", forest, "--data", str(blank)]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestSelect:
@@ -396,3 +406,30 @@ class TestErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n")
         assert main(["fit", "--forest", forest, "--data", str(bad)]) == 1
+
+    def test_ragged_rows(self, tmp_path, capsys):
+        forest = write_forest(tmp_path / "f.json", star3())
+        short = tmp_path / "short.csv"
+        short.write_text("1,2,3\n0.1,0.2,0.3\n0.4,0.5\n")
+        assert main(["fit", "--forest", forest, "--data", str(short)]) == 1
+        assert "ragged rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "lattice5", "replicates": 2.5, "n_values": [50]},
+            {"kind": "lattice5", "n_values": 125},
+            {"n_values": [125]},
+            [1, 2],
+            {"kind": "lattice5", "replicates": "3"},
+        ],
+    )
+    def test_malformed_simulate_config(self, tmp_path, capsys, config):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["simulate", "--config", str(p), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"]

@@ -75,7 +75,6 @@ class TestSplitParts:
         assert s.complement == (2, 3)
         assert s.nonzero_terms == (((1, 1, 0, 0), 1.0),)
         assert s.zero_terms == ((1, 0), (1, 0), (1, 1))
-        assert s.support_split == ((0, 1), (2, 3))
 
     def test_flagged_zero_term(self):
         # w2^2 vanishes only at w2 = 0, but (w2 - 1)^2 forces w2 = 1

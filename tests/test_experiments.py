@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from latentforest import (
@@ -19,8 +21,11 @@ from latentforest import (
     random_subforest_at_depth,
     random_trivalent_tree,
     run_experiment,
+    sample,
+    score_lattice,
     steiner_subforest,
     subforest_lattice,
+    suff_stats,
     suff_stats_from_cov,
 )
 
@@ -99,6 +104,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="lattice5", corr=1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"master_seed": "7"},
+            {"m": 6},
+            {"corr": "0.6"},
+        ],
+    )
+    def test_wrong_types_rejected(self, bad):
+        # the simulate CLI error tests cover replicates and n_values
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="lattice5", **bad)
+
     def test_coercion_and_json(self):
         cfg = ExperimentConfig(
             kind="depth_comparison",
@@ -174,6 +192,38 @@ class TestRunExperiment:
 
         threaded = run_experiment(cfg, threads=4)
         assert threaded.rows == res.rows
+
+    def test_lattice5_picks_are_score_lattice_picks(self):
+        cfg = ExperimentConfig(
+            kind="lattice5",
+            n_values=(50, 125),
+            replicates=3,
+            master_seed=5,
+            em=EmConfig(restarts=1, max_iter=150),
+        )
+        res = run_experiment(cfg)
+        host = lattice5_host()
+        lat = subforest_lattice(host)
+        rep = steiner_subforest(host, lat.classes[lattice5_truth_index(lat)])
+        params = ModelParams(
+            leaf_var={v: 1.0 for v in host.observed},
+            edge_corr={e: cfg.corr for e in rep.edges},
+        )
+        ms = cfg.master_seed
+        for n in cfg.n_values:
+            tally = {c: dict.fromkeys(res.codes, 0) for c in ("bic", "sbic")}
+            for r in range(cfg.replicates):
+                data = sample(
+                    rep, params, n, seed=np.random.SeedSequence([ms, r, n])
+                )
+                stats = suff_stats(data, names=rep.observed)
+                em_seed = np.random.SeedSequence([ms, r, n, 1]).generate_state(1)
+                em = replace(cfg.em, seed=int(em_seed[0]))
+                table = score_lattice(lat, stats, em)
+                for crit, counts in tally.items():
+                    counts[lat.code_string(table.best(crit))] += 1
+            for crit, counts in tally.items():
+                assert res.counts(crit, n) == counts
 
     def test_depth_comparison_small(self):
         cfg = ExperimentConfig(
