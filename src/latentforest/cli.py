@@ -68,21 +68,14 @@ def _read_stats(path: str):
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("LF_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return int(os.environ.get("LF_SEED", 0))
 
 
 def _em_config(args) -> EmConfig:
-    cfg = EmConfig(seed=_seed(args))
-    if args.restarts is not None:
-        cfg = replace(cfg, restarts=args.restarts)
-    if args.max_iter is not None:
-        cfg = replace(cfg, max_iter=args.max_iter)
-    if args.tol is not None:
-        cfg = replace(cfg, rel_tol=args.tol)
-    return cfg
+    flags = {"restarts": args.restarts, "max_iter": args.max_iter,
+             "rel_tol": args.tol}
+    return EmConfig(seed=_seed(args),
+                    **{k: v for k, v in flags.items() if v is not None})
 
 
 # --------------------------------------------------------------------------

@@ -107,16 +107,30 @@ class MonomialSos:
     @classmethod
     def from_json(cls, text: str) -> "MonomialSos":
         data = json.loads(text)
+        num, ok = (int, float), isinstance(data, dict)
+        terms, domain = (data.get(k) if ok else None for k in ("terms", "domain"))
+        if not (
+            ok and isinstance(data.get("dim"), int)
+            and isinstance(terms, list) and isinstance(domain, list)
+            and all(isinstance(t, dict) and isinstance(t.get("c"), num)
+                    and isinstance(t.get("u"), list)
+                    and all(isinstance(x, int) for x in t["u"]) for t in terms)
+            and all(isinstance(d, list) and len(d) == 2
+                    and all(x is None or isinstance(x, num) for x in d)
+                    for d in domain)
+        ):
+            raise ValueError(
+                'a monomial system is {"dim": int, "terms": [{"u": [int, ...], '
+                '"c": number}, ...], "domain": [[number or null, ...], ...]}'
+            )
 
         def end(x, sign):
             return sign * math.inf if x is None else float(x)
 
         return cls(
             dim=data["dim"],
-            terms=tuple((tuple(t["u"]), t["c"]) for t in data["terms"]),
-            domain=tuple(
-                (end(a, -1), end(b, +1)) for a, b in data["domain"]
-            ),
+            terms=tuple((tuple(t["u"]), t["c"]) for t in terms),
+            domain=tuple((end(a, -1), end(b, +1)) for a, b in domain),
         )
 
 

@@ -148,6 +148,17 @@ class ScoreRow:
     params: ModelParams | None = None
 
 
+def _csv_text(header, rows) -> str:
+    """A header row and data rows as CSV text with newline line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+# the columns of a table's CSV and of its JSON rows, in order
+_ROW_FIELDS = ("index", "code", "dim", "loglik", "bic", "sbic")
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Per-class scores, aligned with the indexing of their source."""
@@ -176,28 +187,13 @@ class ScoreTable:
 
     def to_json(self) -> str:
         return json.dumps(
-            [
-                {
-                    "index": r.index,
-                    "code": r.code,
-                    "dim": r.dim,
-                    "loglik": r.loglik,
-                    "bic": r.bic,
-                    "sbic": r.sbic,
-                }
-                for r in self.rows
-            ]
+            [{k: getattr(r, k) for k in _ROW_FIELDS} for r in self.rows]
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["index", "code", "dim", "loglik", "bic", "sbic"])
-        for r in self.rows:
-            w.writerow(
-                [r.index, r.code, r.dim, repr(r.loglik), repr(r.bic), repr(r.sbic)]
-            )
-        return buf.getvalue()
+        return _csv_text(
+            _ROW_FIELDS, ([getattr(r, k) for k in _ROW_FIELDS] for r in self.rows)
+        )
 
 
 def _as_logliks(fits, count: int) -> list[float]:
@@ -480,7 +476,6 @@ def pruned_chain(
             sum(1 << b for b, e in enumerate(host_f.edges) if e in rep)
             for rep in reps
         ),
-        below=tuple((1 << (j + 1)) - 1 for j in range(size)),
         depth=tuple(range(size)),
     )
     scored = sbic_all(lat, lls[::-1], n, params=fitted[::-1])

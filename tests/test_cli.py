@@ -422,6 +422,10 @@ class TestErrors:
             {"n_values": [125]},
             [1, 2],
             {"kind": "lattice5", "replicates": "3"},
+            {"kind": "lattice5", "n_values": [None]},
+            {"kind": "lattice5", "n_values": [1e400]},
+            {"kind": "lattice5", "n_values": [125.5]},
+            {"kind": "depth_comparison", "m": ["6"]},
         ],
     )
     def test_malformed_simulate_config(self, tmp_path, capsys, config):
@@ -433,3 +437,26 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"]["type"] == "ValueError"
         assert doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["rlct", "mono", "--in"], [1, 2]),
+            (["rlct", "mono", "--in"], {"dim": 2, "terms": 5}),
+            (["rlct", "mono", "--in"],
+             {"dim": 1, "terms": [{"u": [None], "c": 0}], "domain": [[0, 1]]}),
+            (["rlct", "mono", "--in"],
+             {"dim": 1, "terms": [{"u": [1], "c": 0}], "domain": [[0, []]]}),
+            (["lattice", "--tree"], [1]),
+            (["lattice", "--tree"], {"nodes": [{"id": "1"}], "edges": [5]}),
+        ],
+    )
+    def test_malformed_json_document(self, tmp_path, capsys, command, doc):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert main(command + [str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(command + [str(p), "--json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"]

@@ -25,6 +25,7 @@ from latentforest import (
     subforest_lattice,
 )
 from latentforest.forests import _subforest_of_mask
+from latentforest.selection import _drop_edge
 from conftest import random_forest, run_python
 
 
@@ -469,14 +470,44 @@ def _oracle_hosts():
     return hosts
 
 
+def transitive_reduction(below):
+    """Cover pairs (i, j) of an order given as ``below`` bitsets, j
+    ascending, then i ascending: i < j with no third class between."""
+    out = []
+    for j in range(len(below)):
+        strict = [i for i in range(j) if (below[j] >> i) & 1]
+        for i in strict:
+            if not any(k != i and (below[k] >> i) & 1 for k in strict):
+                out.append((i, j))
+    return out
+
+
 @pytest.mark.parametrize("host", _oracle_hosts())
 def test_lattice_matches_brute_force(host):
     codes, masks, below, depth = brute_force_lattice(host)
     lat = subforest_lattice(host)
     assert [c.code for c in lat.classes] == codes
     assert list(lat.steiner_masks) == masks
-    assert list(lat.below) == below
+    k = len(codes)
+    assert [[lat.leq(i, j) for i in range(k)] for j in range(k)] == [
+        [bool((below[j] >> i) & 1) for i in range(k)] for j in range(k)
+    ]
     assert list(lat.depth) == depth
+    assert lat.covers() == transitive_reduction(below)
+
+
+@pytest.mark.parametrize("host", _oracle_hosts())
+def test_covers_are_single_edge_removals(host):
+    """Removing one edge of a class's canonical forest gives a class one
+    depth lower, and these removals are exactly the lattice's covers."""
+    lat = subforest_lattice(host)
+    removals = set()
+    for j, cls in enumerate(lat.classes):
+        for k in range(len(cls.forest.edges)):
+            i = lat.class_index(canonicalize(_drop_edge(cls.forest, k)))
+            assert lat.depth[i] == lat.depth[j] - 1
+            removals.add((i, j))
+    assert set(lat.covers()) == removals
 
 
 def _mask_forest(host, mask):
