@@ -52,6 +52,14 @@ class Rlct:
         return (self.lam, self.mult)
 
 
+def _float(x) -> float:
+    """``float(x)``, with a ``ValueError`` for an integer beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("number too large for a float") from None
+
+
 @dataclass(frozen=True)
 class MonomialSos:
     """H(w) = sum of (w^u - c)^2 over a product of intervals.
@@ -69,11 +77,13 @@ class MonomialSos:
         object.__setattr__(
             self,
             "terms",
-            tuple((tuple(int(x) for x in u), float(c)) for u, c in self.terms),
+            tuple((tuple(int(x) for x in u), _float(c)) for u, c in self.terms),
         )
         object.__setattr__(
-            self, "domain", tuple((float(a), float(b)) for a, b in self.domain)
+            self, "domain", tuple((_float(a), _float(b)) for a, b in self.domain)
         )
+        if not all(math.isfinite(c) for _, c in self.terms):
+            raise ValueError("term constants must be finite")
         if len(self.domain) != self.dim:
             raise ValueError("domain length does not match dim")
         for u, _ in self.terms:
@@ -125,7 +135,7 @@ class MonomialSos:
             )
 
         def end(x, sign):
-            return sign * math.inf if x is None else float(x)
+            return sign * math.inf if x is None else x
 
         return cls(
             dim=data["dim"],

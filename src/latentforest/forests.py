@@ -21,6 +21,7 @@ The module provides
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -39,11 +40,14 @@ from .errors import (
 # An undirected edge is a frozenset of two node ids.
 Edge = frozenset
 
-#: Exhaustive lattice enumeration refuses hosts above this edge count.
-#: On a 2-core x86-64 VM the largest admitted trivalent host (13 leaves,
-#: 23 edges, 75 025 classes) builds in 9.7 s with a 362 MB peak; a
-#: 24-edge host with one degree-4 latent (172 658 classes) in 22 s, 766 MB.
-LATTICE_EDGE_BOUND = 24
+#: Exhaustive lattice enumeration refuses hosts with more classes than this.
+#: The mask walk is cheap on a 2-core x86-64 VM: the largest admitted
+#: trivalent host (13 leaves, 75 025 classes) takes 0.08 s and 6 MB over
+#: the import, and a 24-leaf star (2^24 - 24 classes) is refused in
+#: 0.02 s.  Reading classes is not: each costs about 0.12 ms and 4.4 kB
+#: to canonicalize, so reading all 75 025 takes 8.6 s with a 362 MB peak.
+#: The bound keeps a full read of any admitted lattice near that size.
+LATTICE_CLASS_BOUND = 100_000
 
 
 def edge(u: str, v: str) -> Edge:
@@ -465,6 +469,32 @@ def steiner_subforest(host: Forest, sub: CanonicalForest) -> Forest:
 # the lattice of subforest classes
 
 
+class _LazyClasses(Sequence):
+    """Read-only sequence of the canonical forests of a lattice's masks.
+
+    Class ``i`` is canonicalized when it is first read and then kept, so
+    a caller that needs only masks or depths never canonicalizes.
+    """
+
+    def __init__(self, host: Forest, masks: tuple[int, ...]):
+        self._host = host
+        self._masks = masks
+        self._built: list[CanonicalForest | None] = [None] * len(masks)
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        c = self._built[i]
+        if c is None:
+            c = self._built[i] = canonicalize(
+                _subforest_of_mask(self._host, self._masks[i])
+            )
+        return c
+
+
 @dataclass
 class ModelLattice:
     """All subforest classes of a host tree, partially ordered.
@@ -477,7 +507,9 @@ class ModelLattice:
     mask_j.  A proper subset is a smaller integer, so the index order is
     a linear extension of the lattice order.  For the standard five-leaf
     example this numbering matches the conventional model numbers 1..34
-    shifted by one.
+    shifted by one.  ``classes[i]`` is the canonical forest of mask i;
+    a lattice from :func:`subforest_lattice` canonicalizes it when it is
+    first read, and any read-only sequence (such as a tuple) will do.
 
     A class partitions the observed nodes into blocks with disjoint
     host Steiner trees, ordered by refinement.  Inside one block of a
@@ -489,14 +521,14 @@ class ModelLattice:
     """
 
     host: Forest
-    classes: tuple[CanonicalForest, ...]
+    classes: Sequence[CanonicalForest]
     steiner_masks: tuple[int, ...]
     depth: tuple[int, ...]
     rlct_cache: dict = field(default_factory=dict, repr=False)
     _index: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.steiner_masks)
 
     def leq(self, i: int, j: int) -> bool:
         return not self.steiner_masks[i] & ~self.steiner_masks[j]
@@ -526,13 +558,19 @@ class ModelLattice:
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (i, j) with class_i covered by class_j.
 
-        The lattice is graded, so these are the pairs one depth apart.
+        The lattice is graded, so these are the pairs one depth apart;
+        each class is compared only with the classes one level below
+        it, in index order.
         """
+        masks = self.steiner_masks
+        level: dict[int, list[int]] = {}
+        for i, d in enumerate(self.depth):
+            level.setdefault(d, []).append(i)
         return [
             (i, j)
-            for j in range(len(self.classes))
-            for i in self.strictly_below(j)
-            if self.depth[i] == self.depth[j] - 1
+            for j, d in enumerate(self.depth)
+            for i in level.get(d - 1, ())
+            if not masks[i] & ~masks[j]
         ]
 
     def code_string(self, i: int) -> str:
@@ -550,6 +588,30 @@ def _subforest_of_mask(host: Forest, mask: int) -> Forest:
     return Forest(nodes=nodes, latent=host.latent & touched, edges=edges)
 
 
+def _leaves_first(host: Forest) -> list[tuple[str, int]]:
+    """``(node, bit of its edge toward the root)`` for every non-root node.
+
+    Each component is rooted at its first observed node and walked
+    breadth first; the list is reversed, so a node comes after all the
+    nodes below it.
+    """
+    bit = {e: b for b, e in enumerate(host.edges)}
+    steps: list[tuple[str, int]] = []
+    seen: set[str] = set()
+    for root in host.observed:
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier = [root]
+        for v in frontier:
+            for w in host.neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+                    steps.append((w, bit[edge(v, w)]))
+    return steps[::-1]
+
+
 def subforest_lattice(host: Forest) -> ModelLattice:
     """Enumerate all subforest classes of a canonical host.
 
@@ -560,8 +622,18 @@ def subforest_lattice(host: Forest) -> ModelLattice:
     its own pattern: walking away from any of its edges in both
     directions ends at observed leaves.  Masks without a latent leaf and
     classes therefore correspond one to one, and class_i <= class_j
-    exactly when mask_i is a subset of mask_j.  Only those masks are
-    canonicalized.  A mask has |observed| + (latent nodes it touches) -
+    exactly when mask_i is a subset of mask_j.
+
+    The masks come from a pruned walk over the host edges, leaves
+    first, with each component rooted at an observed node.  When the
+    walk reaches the edge from a latent node w up toward the root, all
+    of w's other edges are decided: with none of them set the edge up
+    stays out, with one it goes in, with two or more it may do either.
+    Each step thus keeps one or two extensions of every partial mask,
+    so the number kept never falls and the walk raises ``TooLarge`` as
+    soon as it passes ``LATTICE_CLASS_BOUND``.  The masks are sorted at
+    the end.  No class is canonicalized here: ``classes[i]`` is built
+    on first read.  A mask has |observed| + (latent nodes it touches) -
     (its edges) components, so its ``depth`` is its edge count minus
     the latent nodes it touches.
     """
@@ -569,31 +641,36 @@ def subforest_lattice(host: Forest) -> ModelLattice:
         raise ValueError(
             "host must be canonical (no latent node of degree <= 2)"
         )
-    ne = len(host.edges)
-    if ne > LATTICE_EDGE_BOUND:
-        raise TooLarge(f"host has {ne} edges, bound is {LATTICE_EDGE_BOUND}")
-
-    incident = [
-        sum(1 << b for b, e in enumerate(host.edges) if v in e)
-        for v in host.latent
-    ]
-    masks: list[int] = []
-    for mask in range(1 << ne):
-        for inc in incident:
-            hit = mask & inc
-            if hit and not hit & (hit - 1):
-                break
+    incident = dict.fromkeys(host.latent, 0)
+    for b, e in enumerate(host.edges):
+        for v in e & host.latent:
+            incident[v] |= 1 << b
+    masks = [0]
+    for w, b in _leaves_first(host):
+        up = 1 << b
+        if w not in host.latent:
+            masks = [x for m in masks for x in (m, m | up)]
         else:
-            masks.append(mask)
-
+            below = incident[w] & ~up
+            grown: list[int] = []
+            for m in masks:
+                hit = m & below
+                if hit & (hit - 1):
+                    grown += (m, m | up)
+                else:
+                    grown.append(m | up if hit else m)
+            masks = grown
+        if len(masks) > LATTICE_CLASS_BOUND:
+            raise TooLarge(
+                f"host has more than {LATTICE_CLASS_BOUND} subforest classes"
+            )
+    masks = tuple(sorted(masks))
     return ModelLattice(
         host=host,
-        classes=tuple(
-            canonicalize(_subforest_of_mask(host, mask)) for mask in masks
-        ),
-        steiner_masks=tuple(masks),
+        classes=_LazyClasses(host, masks),
+        steiner_masks=masks,
         depth=tuple(
-            m.bit_count() - sum(1 for inc in incident if m & inc)
+            m.bit_count() - sum(1 for inc in incident.values() if m & inc)
             for m in masks
         ),
     )

@@ -449,11 +449,24 @@ class TestErrors:
              {"dim": 1, "terms": [{"u": [1], "c": 0}], "domain": [[0, []]]}),
             (["lattice", "--tree"], [1]),
             (["lattice", "--tree"], {"nodes": [{"id": "1"}], "edges": [5]}),
+            # numbers beyond float range; a str document is written as is
+            (["rlct", "mono", "--in"],
+             {"dim": 1, "terms": [{"u": [1], "c": 10**400 - 1}],
+              "domain": [[-1, 1]]}),
+            (["rlct", "mono", "--in"],
+             '{"dim": 1, "terms": [{"u": [1], "c": 1e400}], '
+             '"domain": [[-1, 1]]}'),
+            (["rlct", "mono", "--in"],
+             '{"dim": 1, "terms": [{"u": [1], "c": NaN}], '
+             '"domain": [[-1, 1]]}'),
+            (["rlct", "mono", "--in"],
+             {"dim": 1, "terms": [{"u": [1], "c": 0}],
+              "domain": [[-(10**400), 1]]}),
         ],
     )
     def test_malformed_json_document(self, tmp_path, capsys, command, doc):
         p = tmp_path / "doc.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(command + [str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert main(command + [str(p), "--json"]) == 1

@@ -40,6 +40,19 @@ class TestMonomialSos:
         with pytest.raises(ValueError):
             MonomialSos(dim=1, terms=[], domain=[(1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "terms, domain",
+        [
+            ([((1,), float("inf"))], [(-1, 1)]),
+            ([((1,), float("nan"))], [(-1, 1)]),
+            ([((1,), 10**400)], [(-1, 1)]),
+            ([((1,), 0.0)], [(-1, 10**400)]),
+        ],
+    )
+    def test_numbers_beyond_float_range_rejected(self, terms, domain):
+        with pytest.raises(ValueError):
+            MonomialSos(dim=1, terms=terms, domain=domain)
+
     def test_json_round_trip(self):
         m = MonomialSos(
             dim=2,

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from latentforest import (
     steiner_subforest,
     subforest_lattice,
 )
+import latentforest.forests as forests_mod
+from latentforest.cli import main
 from latentforest.forests import _subforest_of_mask
 from latentforest.selection import _drop_edge
 from conftest import random_forest, run_python
@@ -370,6 +374,41 @@ class TestLattice:
         with pytest.raises(TooLarge):
             subforest_lattice(big)
 
+    def test_oversized_star_refused_fast(self, monkeypatch):
+        calls = _spy_canonicalize(monkeypatch)
+        star = build_forest(
+            {**{f"x{i}": False for i in range(24)}, "h": True},
+            [("h", f"x{i}") for i in range(24)],
+        )
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            subforest_lattice(star)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+
+    def test_classes_built_on_first_read(self, five_tree, monkeypatch):
+        calls = _spy_canonicalize(monkeypatch)
+        lat = subforest_lattice(five_tree)
+        lat.covers()
+        assert calls == []
+        for i, mask in enumerate(lat.steiner_masks):
+            first = lat.classes[i]
+            assert first == canonicalize(_subforest_of_mask(five_tree, mask))
+            assert lat.classes[i] is first
+        assert len(calls) == len(lat)
+        assert list(lat.classes) == [lat.classes[i] for i in range(len(lat))]
+        assert len(calls) == len(lat)
+
+    def test_lattice_command_canonicalizes_nothing(
+        self, five_tree, tmp_path, capsys, monkeypatch
+    ):
+        calls = _spy_canonicalize(monkeypatch)
+        tree = tmp_path / "t.json"
+        tree.write_text(five_tree.to_json())
+        assert main(["lattice", "--tree", str(tree), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 34
+        assert calls == []
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9))
     def test_subset_implies_leq(self, seed):
@@ -494,6 +533,47 @@ def test_lattice_matches_brute_force(host):
     ]
     assert list(lat.depth) == depth
     assert lat.covers() == transitive_reduction(below)
+
+
+def _spy_canonicalize(monkeypatch):
+    """Record each forest that ``forests.canonicalize`` is called on."""
+    calls = []
+    real = forests_mod.canonicalize
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(forests_mod, "canonicalize", spy)
+    return calls
+
+
+def latent_leaf_free_masks(host):
+    """Every edge mask of ``host`` in which no latent node has exactly
+    one edge, by testing all 2^|E| subsets in increasing order."""
+    incident = [
+        sum(1 << b for b, e in enumerate(host.edges) if v in e)
+        for v in host.latent
+    ]
+    return [
+        mask
+        for mask in range(1 << len(host.edges))
+        if not any((h := mask & inc) and not h & (h - 1) for inc in incident)
+    ]
+
+
+@pytest.mark.parametrize("host", _oracle_hosts())
+def test_walk_matches_subset_filter(host):
+    """The pruned walk keeps exactly the masks without a latent leaf,
+    whatever order the host declares its edges in."""
+    rng = random.Random(len(host.edges))
+    for _ in range(3):
+        edges = list(host.edges)
+        rng.shuffle(edges)
+        shuffled = Forest(nodes=host.nodes, latent=host.latent,
+                          edges=tuple(edges))
+        lat = subforest_lattice(shuffled)
+        assert list(lat.steiner_masks) == latent_leaf_free_masks(shuffled)
 
 
 @pytest.mark.parametrize("host", _oracle_hosts())
