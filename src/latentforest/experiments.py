@@ -25,6 +25,7 @@ from .forests import (
     CanonicalForest,
     Forest,
     ModelLattice,
+    _subforest_of_mask,
     build_forest,
     steiner_subforest,
     subforest_lattice,
@@ -219,7 +220,7 @@ def _truth_params(host: Forest, rep: Forest, corr: float) -> ModelParams:
 def _run_lattice5(cfg: ExperimentConfig) -> ExperimentResult:
     host = lattice5_host()
     lat = subforest_lattice(host)
-    rep = steiner_subforest(host, lat.classes[lattice5_truth_index(lat)])
+    rep = _subforest_of_mask(host, lat.steiner_masks[lattice5_truth_index(lat)])
     params = _truth_params(host, rep, cfg.corr)
     ms = cfg.master_seed
     tally: Counter[tuple[str, int, int]] = Counter()

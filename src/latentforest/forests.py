@@ -210,7 +210,13 @@ def forest_from_json(text: str) -> Forest:
     )
     if not (
         isinstance(nodes, list) and isinstance(edges, list)
-        and all(isinstance(n, dict) and "id" in n for n in nodes)
+        and all(
+            isinstance(n, dict)
+            and isinstance(n.get("id"), (str, int))
+            and not isinstance(n["id"], bool)
+            and isinstance(n.get("latent", False), bool)
+            for n in nodes
+        )
         and all(isinstance(e, list) and len(e) == 2 for e in edges)
     ):
         raise ValueError('a forest is {"nodes": [{"id": ..., "latent": bool}, '
@@ -473,7 +479,8 @@ class _LazyClasses(Sequence):
     """Read-only sequence of the canonical forests of a lattice's masks.
 
     Class ``i`` is canonicalized when it is first read and then kept, so
-    a caller that needs only masks or depths never canonicalizes.
+    a caller that needs only masks, depths or dimensions never
+    canonicalizes.
     """
 
     def __init__(self, host: Forest, masks: tuple[int, ...]):
@@ -499,57 +506,76 @@ class _LazyClasses(Sequence):
 class ModelLattice:
     """All subforest classes of a host tree, partially ordered.
 
-    Each class is identified by its Steiner mask ``steiner_masks[i]``:
-    the minimal host edge subset realizing it, read as an integer
-    (first declared edge = lowest bit), in which no latent node has
-    exactly one edge.  Classes are indexed 0..k-1 in increasing mask
-    order, and class_i <= class_j exactly when mask_i is a subset of
-    mask_j.  A proper subset is a smaller integer, so the index order is
-    a linear extension of the lattice order.  For the standard five-leaf
-    example this numbering matches the conventional model numbers 1..34
-    shifted by one.  ``classes[i]`` is the canonical forest of mask i;
-    a lattice from :func:`subforest_lattice` canonicalizes it when it is
-    first read, and any read-only sequence (such as a tuple) will do.
-
-    A class partitions the observed nodes into blocks with disjoint
-    host Steiner trees, ordered by refinement.  Inside one block of a
-    larger class, the two closest smaller blocks are joined by a path
-    that meets no third block, so they merge on their own.  Every cover
-    thus merges two blocks, and the lattice is graded by ``depth``:
-    observed nodes minus components.  A pruning chain is scored as the
-    totally ordered lattice of its classes, listed bottom up.
+    A lattice is its host and its Steiner masks, given in increasing
+    order, each the Steiner mask of a class of ``host``: the minimal
+    host edge subset realizing it, read as an integer (first declared
+    edge = lowest bit), in which no latent node has exactly one edge.
+    Class_i <= class_j exactly when mask_i is a subset of mask_j.  A
+    proper subset is a smaller integer, so the index order is a linear
+    extension of the lattice order, from the bottom class at 0 to the
+    top class last.  For the standard five-leaf example this numbering
+    matches the conventional model numbers 1..34 shifted by one.  The
+    rest is read off the masks: ``classes[i]``, the canonical forest of
+    mask i, is built when first read, and ``depth`` and ``dims`` when
+    first used.  A pruning chain is scored as the totally ordered
+    lattice of its classes, listed bottom up.
     """
 
     host: Forest
-    classes: Sequence[CanonicalForest]
     steiner_masks: tuple[int, ...]
-    depth: tuple[int, ...]
-    rlct_cache: dict = field(default_factory=dict, repr=False)
-    _index: dict = field(default_factory=dict, repr=False)
+    rlct_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.steiner_masks)
 
+    @cached_property
+    def classes(self) -> Sequence[CanonicalForest]:
+        return _LazyClasses(self.host, self.steiner_masks)
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Rank of each class: observed nodes minus components.
+
+        A class splits the observed nodes into blocks with disjoint host
+        Steiner trees.  In one block of a larger class, the two closest
+        smaller blocks are joined by a path meeting no third block, so
+        every cover merges two blocks and the lattice is graded by depth.
+        A mask has |observed| + (latent nodes it touches) - (its edges)
+        components: its depth is its edge count minus those nodes.
+        """
+        inc = _latent_incidence(self.host).values()
+        return tuple(m.bit_count() - sum(1 for x in inc if m & x)
+                     for m in self.steiner_masks)
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        """Model dimension |V| + |E| - l2 of each class, read off its mask
+        (l2: the latent nodes with exactly two mask edges)."""
+        inc = _latent_incidence(self.host).values()
+        return tuple(
+            len(self.host.observed) + m.bit_count()
+            - sum(1 for x in inc if (m & x).bit_count() == 2)
+            for m in self.steiner_masks
+        )
+
     def leq(self, i: int, j: int) -> bool:
         return not self.steiner_masks[i] & ~self.steiner_masks[j]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cl.code: k for k, cl in enumerate(self.classes)}
+
     def class_index(self, c: CanonicalForest) -> int:
-        if not self._index:
-            self._index.update(
-                {cl.code: k for k, cl in enumerate(self.classes)}
-            )
         try:
             return self._index[c.code]
         except KeyError:
             raise NotInLattice("unknown class code") from None
 
-    @property
-    def min_index(self) -> int:
-        return self.depth.index(0)
+    min_index = 0
 
     @property
     def max_index(self) -> int:
-        return self.depth.index(max(self.depth))
+        return len(self) - 1
 
     def strictly_below(self, j: int) -> list[int]:
         masks, outside = self.steiner_masks, ~self.steiner_masks[j]
@@ -558,20 +584,32 @@ class ModelLattice:
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (i, j) with class_i covered by class_j.
 
-        The lattice is graded, so these are the pairs one depth apart;
-        each class is compared only with the classes one level below
-        it, in index order.
+        A lower cover of class j drops one edge of its canonical forest,
+        that is one maximal run of mask j through latent nodes with two
+        mask edges.  Clearing any bit of the run and then pruning the
+        latent nodes left with one mask edge clears the whole run.
+        Pairs come sorted by j, then by i.
         """
-        masks = self.steiner_masks
-        level: dict[int, list[int]] = {}
-        for i, d in enumerate(self.depth):
-            level.setdefault(d, []).append(i)
-        return [
-            (i, j)
-            for j, d in enumerate(self.depth)
-            for i in level.get(d - 1, ())
-            if not masks[i] & ~masks[j]
-        ]
+        masks, inc = self.steiner_masks, _latent_incidence(self.host)
+        ends = [tuple(e & self.host.latent) for e in self.host.edges]
+        index = {m: i for i, m in enumerate(masks)}
+        out = []
+        for j, mask in enumerate(masks):
+            lower = set()
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                m = mask ^ bit
+                todo = list(ends[bit.bit_length() - 1])
+                while todo:
+                    left = m & inc[todo.pop()]
+                    if left and not left & (left - 1):
+                        m ^= left
+                        todo += ends[left.bit_length() - 1]
+                lower.add(index[m])
+            out += [(i, j) for i in sorted(lower)]
+        return out
 
     def code_string(self, i: int) -> str:
         """Minimal edge-subset indicator in declared host edge order."""
@@ -579,6 +617,13 @@ class ModelLattice:
         return " ".join(
             str((mask >> b) & 1) for b in range(len(self.host.edges))
         )
+
+
+def _latent_incidence(host: Forest) -> dict[str, int]:
+    """Mask of the host edges at each latent node."""
+    bit = {e: 1 << b for b, e in enumerate(host.edges)}
+    return {v: sum(bit[edge(v, w)] for w in host.neighbors[v])
+            for v in host.latent}
 
 
 def _subforest_of_mask(host: Forest, mask: int) -> Forest:
@@ -633,18 +678,13 @@ def subforest_lattice(host: Forest) -> ModelLattice:
     so the number kept never falls and the walk raises ``TooLarge`` as
     soon as it passes ``LATTICE_CLASS_BOUND``.  The masks are sorted at
     the end.  No class is canonicalized here: ``classes[i]`` is built
-    on first read.  A mask has |observed| + (latent nodes it touches) -
-    (its edges) components, so its ``depth`` is its edge count minus
-    the latent nodes it touches.
+    on first read.
     """
     if any(host.degree(v) <= 2 for v in host.latent):
         raise ValueError(
             "host must be canonical (no latent node of degree <= 2)"
         )
-    incident = dict.fromkeys(host.latent, 0)
-    for b, e in enumerate(host.edges):
-        for v in e & host.latent:
-            incident[v] |= 1 << b
+    incident = _latent_incidence(host)
     masks = [0]
     for w, b in _leaves_first(host):
         up = 1 << b
@@ -664,13 +704,4 @@ def subforest_lattice(host: Forest) -> ModelLattice:
             raise TooLarge(
                 f"host has more than {LATTICE_CLASS_BOUND} subforest classes"
             )
-    masks = tuple(sorted(masks))
-    return ModelLattice(
-        host=host,
-        classes=_LazyClasses(host, masks),
-        steiner_masks=masks,
-        depth=tuple(
-            m.bit_count() - sum(1 for inc in incident.values() if m & inc)
-            for m in masks
-        ),
-    )
+    return ModelLattice(host, tuple(sorted(masks)))

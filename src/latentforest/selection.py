@@ -30,7 +30,6 @@ from .forests import (
     build_forest,
     canonicalize,
     model_dimension,
-    steiner_subforest,
     subforest_lattice,
     _fresh_latent_names,
     _subforest_of_mask,
@@ -225,9 +224,8 @@ def sbic_all(
     ``loglik`` attribute).  The class indexing of the lattice is a
     linear extension of its order, which is what the solver needs.
     """
-    k = len(lattice.classes)
+    k = len(lattice)
     lls = _as_logliks(fits, k)
-    dims = [model_dimension(c) for c in lattice.classes]
     below = [lattice.strictly_below(j) for j in range(k)]
 
     def lp(i: int, j: int) -> float:
@@ -238,9 +236,9 @@ def sbic_all(
         ScoreRow(
             index=j,
             code=lattice.code_string(j),
-            dim=dims[j],
+            dim=lattice.dims[j],
             loglik=lls[j],
-            bic=bic(lls[j], dims[j], n),
+            bic=bic(lls[j], lattice.dims[j], n),
             sbic=xs[j],
             params=None if params is None else params[j],
         )
@@ -441,43 +439,36 @@ def pruned_chain(
     """
     cfg = config or EmConfig()
     n = stats.n
-    top = canonicalize(_as_forest(host))
-    fit = em_fit(top, stats, cfg)
-    chain: list[CanonicalForest] = [top]
-    lls: list[float] = [fit.loglik]
-    fitted: list[ModelParams] = [fit.params]
-    cur, cur_params = top, fit.params
-    while cur.forest.edges:
+    host_f = _as_forest(host)
+    cur = canonicalize(host_f)
+    res = em_fit(cur, stats, cfg)
+    runs = {e: 1 << b for b, e in enumerate(host_f.edges)}
+    chain, masks, lls, fitted = [], [], [], []
+    while True:
+        # host edge mask of the (disjoint) run behind each edge of ``cur``
+        runs = {e: sum(runs[s] for s in src)
+                for e, src in zip(cur.forest.edges, cur.edge_sources)}
+        chain.append(cur)
+        masks.append(sum(runs.values()))
+        lls.append(res.loglik)
+        fitted.append(res.params)
+        if not cur.forest.edges:
+            break
         best = None
         for k in range(len(cur.forest.edges)):
             cand = canonicalize(_drop_edge(cur.forest, k))
             res = em_fit(
-                cand, stats, cfg, init=_warm_start(cand, cur_params)
+                cand, stats, cfg, init=_warm_start(cand, fitted[-1])
             )
             dim = model_dimension(cand)
             key = (-bic(res.loglik, dim, n), dim, cand.code)
             if best is None or key < best[0]:
                 best = (key, cand, res)
         _, cur, res = best
-        cur_params = res.params
-        chain.append(cur)
-        lls.append(res.loglik)
-        fitted.append(cur_params)
 
     # score the chain as a totally ordered lattice, bottom up
     size = len(chain)
-    host_f = _as_forest(host)
-    bottom_up = chain[::-1]
-    reps = [steiner_subforest(host_f, c).edge_set for c in bottom_up]
-    lat = ModelLattice(
-        host=host_f,
-        classes=tuple(bottom_up),
-        steiner_masks=tuple(
-            sum(1 << b for b, e in enumerate(host_f.edges) if e in rep)
-            for rep in reps
-        ),
-        depth=tuple(range(size)),
-    )
+    lat = ModelLattice(host_f, tuple(masks[::-1]))
     scored = sbic_all(lat, lls[::-1], n, params=fitted[::-1])
     table = ScoreTable(
         n=n,

@@ -462,6 +462,15 @@ class TestErrors:
             (["rlct", "mono", "--in"],
              {"dim": 1, "terms": [{"u": [1], "c": 0}],
               "domain": [[-(10**400), 1]]}),
+            # a latent flag that is not a JSON boolean, an id that is
+            # neither a string nor an integer
+            (["lattice", "--tree"],
+             {"nodes": [{"id": "1", "latent": "false"}], "edges": []}),
+            (["lattice", "--tree"],
+             {"nodes": [{"id": "1", "latent": 0}], "edges": []}),
+            (["lattice", "--tree"], {"nodes": [{"id": [1]}], "edges": []}),
+            (["lattice", "--tree"], {"nodes": [{"id": None}], "edges": []}),
+            (["lattice", "--tree"], {"nodes": [{"id": True}], "edges": []}),
         ],
     )
     def test_malformed_json_document(self, tmp_path, capsys, command, doc):

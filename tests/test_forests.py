@@ -23,6 +23,7 @@ from latentforest import (
     model_dimension,
     q_forest,
     random_trivalent_tree,
+    sbic_all,
     steiner_subforest,
     subforest_lattice,
 )
@@ -399,6 +400,14 @@ class TestLattice:
         assert list(lat.classes) == [lat.classes[i] for i in range(len(lat))]
         assert len(calls) == len(lat)
 
+    def test_sbic_all_canonicalizes_nothing(self, five_tree, monkeypatch):
+        calls = _spy_canonicalize(monkeypatch)
+        lat = subforest_lattice(five_tree)
+        table = sbic_all(lat, [-float(len(lat) - j) for j in range(len(lat))],
+                         100)
+        assert [r.dim for r in table.rows] == list(lat.dims)
+        assert calls == []
+
     def test_lattice_command_canonicalizes_nothing(
         self, five_tree, tmp_path, capsys, monkeypatch
     ):
@@ -533,6 +542,12 @@ def test_lattice_matches_brute_force(host):
     ]
     assert list(lat.depth) == depth
     assert lat.covers() == transitive_reduction(below)
+
+
+@pytest.mark.parametrize("host", _oracle_hosts())
+def test_dims_match_model_dimension(host):
+    lat = subforest_lattice(host)
+    assert list(lat.dims) == [model_dimension(c) for c in lat.classes]
 
 
 def _spy_canonicalize(monkeypatch):

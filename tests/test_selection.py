@@ -418,6 +418,35 @@ class TestPrunedChain:
         assert res.selected_bic.code == truth.code
         assert res.selected_sbic.code == truth.code
 
+    @pytest.mark.parametrize(
+        "tree",
+        [random_trivalent_tree(m, m - 4) for m in range(4, 8)]
+        + [
+            # five leaves with the inner edge a-b subdivided by s, and the
+            # a-5 edge by t: a canonical edge can stand for a host run
+            build_forest(
+                [(str(i), False) for i in range(1, 6)]
+                + [(v, True) for v in "abcst"],
+                [("a", "s"), ("s", "b"), ("a", "t"), ("t", "5"), ("a", "1"),
+                 ("b", "4"), ("b", "c"), ("3", "c"), ("2", "c")],
+            )
+        ],
+    )
+    def test_chain_masks_are_steiner_masks(self, tree):
+        params = ModelParams(
+            leaf_var={v: 1.0 for v in tree.observed},
+            edge_corr={e: 0.6 for e in tree.edges},
+        )
+        stats = suff_stats(
+            sample(tree, params, 200, seed=3), names=tree.observed
+        )
+        res = pruned_chain(tree, stats, EmConfig(restarts=1, max_iter=50))
+        for cls, row in zip(res.chain, res.table.rows):
+            rep = steiner_subforest(tree, cls).edge_set
+            assert row.code == " ".join(
+                "1" if e in rep else "0" for e in tree.edges
+            )
+
     def test_warm_start_products(self):
         host = quartet_tree()
         cand = canonicalize(_drop_edge(host, 0))  # drop the a--b edge
