@@ -62,7 +62,11 @@ def _read_stats(path: str):
     if any(len(r) != len(names) for r in rows[1:]):
         raise ValueError(f"{path}: ragged rows")
     data = np.array([[float(c) for c in r] for r in rows[1:]], dtype=float)
-    return suff_stats(data, names=names)
+    with np.errstate(over="raise"):
+        try:
+            return suff_stats(data, names=names)
+        except FloatingPointError:
+            raise ValueError(f"{path}: second moments overflow") from None
 
 
 def _seed(args) -> int:

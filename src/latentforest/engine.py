@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EmptyFiber, EmptyZeroSet, NoInteriorSolution
+from .errors import EmptyFiber, EmptyZeroSet, NoInteriorSolution, TooLarge
 from .polyhedra import one_distance_lp, rational_rank
 
 #: margin below which an LP interior slack counts as boundary contact
@@ -89,18 +89,41 @@ class MonomialSos:
         for u, _ in self.terms:
             if len(u) != self.dim:
                 raise ValueError(f"exponent {u} has wrong length")
-            if any(x < 0 for x in u):
+            if min(u, default=0) < 0:
                 raise ValueError(f"exponent {u} has a negative entry")
+            _float(max(u, default=0))  # the LPs read exponents as floats
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError(f"empty domain interval ({lo}, {hi})")
 
-    def __call__(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        total = 0.0
+    def __call__(self, w):
+        """H at one point ``(dim,)`` as a float, or at each row of an
+        ``(N, dim)`` array as an array.
+
+        A monomial starts from its first factor and the sum from its
+        first square, so no array operation goes to a unit or a zero.
+        """
+        pts = np.asarray(w, dtype=float)
+        if pts.ndim == 1:
+            return float(self(pts[None])[0])
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(
+                f"points must have shape ({self.dim},) or (N, {self.dim})"
+            )
+        cols = [np.ascontiguousarray(pts[:, j]) for j in range(self.dim)]
+        total = None
         for u, c in self.terms:
-            total += (np.prod(w ** np.array(u)) - c) ** 2
-        return float(total)
+            mon = None
+            for j, e in enumerate(u):
+                if e:
+                    f = cols[j] if e == 1 else cols[j] ** e
+                    mon = f if mon is None else mon * f
+            if mon is None:
+                sq = np.full(len(pts), (1.0 - c) ** 2)
+            else:
+                sq = np.square(mon - c)
+            total = sq if total is None else np.add(total, sq, out=total)
+        return np.zeros(len(pts)) if total is None else total
 
     def to_json(self) -> str:
         def end(x):
@@ -193,8 +216,8 @@ def _gf2_sign_solutions(rows: list[int], rhs: list[int], width: int):
     """Solutions s in GF(2)^width of the system rows[i].s = rhs[i].
 
     rows are column bitmasks.  Yields solutions as bitmasks; raises
-    EmptyFiber if the system is inconsistent.  Systems here are tiny,
-    but cap the free-variable enumeration defensively.
+    EmptyFiber if the system is inconsistent and TooLarge if it leaves
+    more than 20 signs free.
     """
     pivots: dict[int, tuple[int, int]] = {}  # col -> reduced (row, rhs)
     for row, r in zip(rows, rhs):
@@ -210,7 +233,7 @@ def _gf2_sign_solutions(rows: list[int], rhs: list[int], width: int):
         pivots[col] = (row, r)
     free = [c for c in range(width) if c not in pivots]
     if len(free) > 20:
-        raise EmptyFiber(f"too many sign orthants to enumerate (2^{len(free)})")
+        raise TooLarge(f"too many sign orthants to enumerate (2^{len(free)})")
     # a pivot row only involves columns below its own pivot, so back
     # substitution in increasing column order sees assigned values only
     order = sorted(pivots)
@@ -231,8 +254,8 @@ def nonzero_codim(split: PartSplit, domain) -> int:
     Returns the rank of the exponent matrix when the fiber
     {w : w^{u_i} = c_i} meets the interior of the domain projected to
     the support coordinates.  Raises NoInteriorSolution when the fiber
-    only touches the domain boundary and EmptyFiber when it misses the
-    domain entirely.
+    only touches the domain boundary, EmptyFiber when it misses the
+    domain entirely and TooLarge when more than 20 signs are free.
     """
     terms = split.nonzero_terms
     if not terms:
@@ -261,6 +284,9 @@ def nonzero_codim(split: PartSplit, domain) -> int:
         raise EmptyFiber("the magnitude system w^u = |c| has no solution")
 
     best = -math.inf
+    # the LP sees an orthant only through its bounds, so orthants with
+    # equal bounds (as on a box symmetric about 0) share one LP
+    solved: set = set()
     for signs in _gf2_sign_solutions(rows, rhs, s):
         # interval of |w_j| inside this orthant, in log coordinates
         finite_ub: list[tuple[int, float]] = []
@@ -288,6 +314,10 @@ def nonzero_codim(split: PartSplit, domain) -> int:
             continue
         if not finite_ub and not finite_lb:
             return rank
+        key = (tuple(finite_ub), tuple(finite_lb))
+        if key in solved:
+            continue
+        solved.add(key)
         # maximize the margin delta: u.x = log|c|, x_j + delta <= ub,
         # x_j - delta >= lb; delta capped so the LP stays bounded
         nvar = s + 1

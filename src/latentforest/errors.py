@@ -28,7 +28,13 @@ class UnrealizablePattern(LatentForestError):
 
 
 class TooLarge(LatentForestError):
-    """The host has too many edges for exhaustive lattice enumeration."""
+    """An input is past a documented size bound.
+
+    Raised for a host whose subforest lattice has more than
+    ``forests.LATTICE_CLASS_BOUND`` classes, and for a monomial system
+    whose nonzero part leaves more than 20 coordinate signs free (over
+    2^20 sign orthants to check).
+    """
 
 
 class NotInLattice(LatentForestError):

@@ -20,14 +20,14 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoSuchDepth, TooFewLeaves
+from .errors import NoSuchDepth, TooFewLeaves, TooLarge
 from .forests import (
+    LATTICE_CLASS_BOUND,
     CanonicalForest,
     Forest,
     ModelLattice,
     _subforest_of_mask,
     build_forest,
-    steiner_subforest,
     subforest_lattice,
 )
 from .gaussian import EmConfig, ModelParams, sample, suff_stats
@@ -82,6 +82,22 @@ def random_trivalent_tree(m: int, seed) -> Forest:
     return build_forest(nodes, edges)
 
 
+def _trivalent_leaf_bound() -> int:
+    """Largest m whose trivalent trees have at most LATTICE_CLASS_BOUND classes.
+
+    Every trivalent tree with m leaves has F(2m - 1) subforest classes
+    (Fibonacci, F(1) = F(2) = 1).  Root it at a leaf: a subtree with k
+    leaves below an edge has F(2k - 1) Steiner masks with that edge out
+    and F(2k) with it in, a leaf has 1 and 1, and joining two subtrees
+    at a latent node keeps the pattern by F(i + j) = F(i) F(j + 1) +
+    F(i - 1) F(j).  The root leaf adds both cases.
+    """
+    m, odd, even = 1, 1, 1  # F(2m - 1), F(2m)
+    while odd + even <= LATTICE_CLASS_BOUND:
+        m, odd, even = m + 1, odd + even, odd + 2 * even
+    return m
+
+
 def random_subforest_at_depth(t: Forest, depth: int, seed) -> CanonicalForest:
     """Uniform draw among the lattice classes of ``t`` at a given depth.
 
@@ -91,13 +107,18 @@ def random_subforest_at_depth(t: Forest, depth: int, seed) -> CanonicalForest:
     a ten-leaf trivalent tree on a 2-core x86-64 VM.
     """
     lat = subforest_lattice(t)
+    return lat.classes[_class_at_depth(lat, depth, seed)]
+
+
+def _class_at_depth(lat: ModelLattice, depth: int, seed) -> int:
+    """Index of a uniform draw among the classes of ``lat`` at ``depth``."""
     pool = [i for i, d in enumerate(lat.depth) if d == depth]
     if not pool:
         raise NoSuchDepth(
             f"no class at depth {depth}; lattice depths reach {max(lat.depth)}"
         )
     rng = np.random.default_rng(seed)
-    return lat.classes[pool[int(rng.integers(len(pool)))]]
+    return pool[int(rng.integers(len(pool)))]
 
 
 # --------------------------------------------------------------------------
@@ -245,15 +266,23 @@ def _run_lattice5(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_depth_comparison(cfg: ExperimentConfig) -> ExperimentResult:
+    too_big = [m for m in cfg.m if m > _trivalent_leaf_bound()]
+    if too_big:
+        raise TooLarge(
+            f"a trivalent tree with {too_big[0]} leaves has more than "
+            f"{LATTICE_CLASS_BOUND} subforest classes"
+        )
     ms = cfg.master_seed
     hits: Counter[tuple[str, int, int]] = Counter()
     for m in cfg.m:
         for r in range(cfg.replicates):
             tree = random_trivalent_tree(m, np.random.SeedSequence([ms, m, r, 0]))
-            truth = random_subforest_at_depth(
-                tree, (m - 1) // 2, np.random.SeedSequence([ms, m, r, 1])
+            lat = subforest_lattice(tree)
+            i = _class_at_depth(
+                lat, (m - 1) // 2, np.random.SeedSequence([ms, m, r, 1])
             )
-            rep = steiner_subforest(tree, truth)
+            truth = lat.classes[i]
+            rep = _subforest_of_mask(tree, lat.steiner_masks[i])
             params = _truth_params(tree, rep, cfg.corr)
             for n in cfg.n_values:
                 data = sample(

@@ -107,24 +107,6 @@ def _restrict(terms, coords):
     return out
 
 
-def _eval_terms(terms, pts: np.ndarray) -> np.ndarray:
-    """Vectorized H(pts) for pts of shape (N, d); no term is constant."""
-    cols = {
-        j: np.ascontiguousarray(pts[:, j])
-        for u, _ in terms for j, e in enumerate(u) if e
-    }
-    total = None
-    for u, c in terms:
-        mon = None
-        for j, e in enumerate(u):
-            if e:
-                f = cols[j] if e == 1 else cols[j] ** e
-                mon = f if mon is None else mon * f
-        sq = np.square(mon - c)
-        total = sq if total is None else np.add(total, sq, out=total)
-    return total
-
-
 def _scan_minima(f, lo: float, hi: float, k: int) -> list[float]:
     """Interior near-minimum points of f on [lo, hi], for quad hints.
 
@@ -265,14 +247,17 @@ def laplace_rlct_estimate(
 
     if isinstance(h, MonomialSos):
         box = list(h.domain if domain is None else domain)
-        terms = [(tuple(u), float(c)) for u, c in h.terms]
         dim = h.dim
+        const = sum((1.0 - c) ** 2 for u, c in h.terms if not any(u))
+        live = [(u, c) for u, c in h.terms if any(u)]
+        blocks = _blocks(live, dim)
     else:
         if domain is None:
             raise ValueError("a callable phase function needs a domain")
         box = list(domain)
-        terms = None
         dim = len(box)
+        const = 0.0
+        blocks = [list(range(dim))]
 
     if dim > MAX_DIM:
         raise IntegrationFailure(
@@ -283,41 +268,28 @@ def laplace_rlct_estimate(
             raise IntegrationFailure("integration box must be bounded")
     box = [(float(lo), float(hi)) for lo, hi in box]
 
-    if terms is not None:
-        const = sum(
-            (1.0 - c) ** 2 for u, c in terms if not any(u)
-        )
-        live = [(u, c) for u, c in terms if any(u)]
-        blocks = _blocks(live, dim)
-    else:
-        const = 0.0
-        blocks = [list(range(dim))]
-
     rng = np.random.default_rng(cfg.seed)
     ns = np.asarray(grid, dtype=float)
     log_z = -ns * const
     used_mc = False
     worst_se = 0.0
-    # quadrature values by (terms, box): equal blocks are integrated once
+    # quadrature values by block: equal sub-systems are integrated once
     shared: dict = {}
 
     for coords in blocks:
         sub_box = [box[i] for i in coords]
-        if terms is not None:
-            sub_terms = _restrict(terms, coords)
-            if not sub_terms:
+        if isinstance(h, MonomialSos):
+            hb = MonomialSos(len(coords), tuple(_restrict(live, coords)), sub_box)
+            if not hb.terms:
                 log_z += sum(math.log(hi - lo) for lo, hi in sub_box)
                 continue
-            hb = lambda pts, t=sub_terms: _eval_terms(t, pts)
-            key = (tuple(sub_terms), tuple(sub_box))
         else:
-            hb = lambda pts: np.asarray(h(pts), dtype=float)
-            key = None  # a callable is one block
+            hb = lambda pts: np.asarray(h(pts), dtype=float)  # one block
 
         if len(coords) <= QUAD_MAX_DIM:
-            if key not in shared:
-                shared[key] = _quad_block(hb, sub_box, ns)
-            vals = shared[key]
+            if hb not in shared:
+                shared[hb] = _quad_block(hb, sub_box, ns)
+            vals = shared[hb]
             bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
             if bad.size:
                 raise IntegrationFailure(

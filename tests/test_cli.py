@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,16 @@ class TestErrors:
         bad.write_text("1,2,3\n")
         assert main(["fit", "--forest", forest, "--data", str(bad)]) == 1
 
+    def test_overflowing_samples(self, tmp_path, capsys):
+        # finite samples whose squares pass the float range
+        forest = write_forest(tmp_path / "f.json", star3())
+        big = tmp_path / "big.csv"
+        big.write_text("1,2,3\n0.1,0.2,0.3\n1e200,0.5,0.6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--forest", forest, "--data", str(big)]) == 1
+        assert capsys.readouterr().err.endswith("second moments overflow\n")
+
     def test_ragged_rows(self, tmp_path, capsys):
         forest = write_forest(tmp_path / "f.json", star3())
         short = tmp_path / "short.csv"
@@ -471,6 +482,10 @@ class TestErrors:
             (["lattice", "--tree"], {"nodes": [{"id": [1]}], "edges": []}),
             (["lattice", "--tree"], {"nodes": [{"id": None}], "edges": []}),
             (["lattice", "--tree"], {"nodes": [{"id": True}], "edges": []}),
+            # an exponent beyond float range
+            (["rlct", "mono", "--in"],
+             {"dim": 2, "terms": [{"u": [10**400, 1], "c": 0.5}],
+              "domain": [[-1, 1], [0, 1]]}),
         ],
     )
     def test_malformed_json_document(self, tmp_path, capsys, command, doc):

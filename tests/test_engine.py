@@ -11,9 +11,11 @@ from latentforest import (
     MonomialSos,
     NoInteriorSolution,
     Rlct,
+    TooLarge,
     rlct_monomial_sos,
     split_parts,
 )
+from latentforest import engine
 
 F = Fraction
 
@@ -31,6 +33,27 @@ class TestMonomialSos:
         m = mono(2, [((1, 1), 0.5), ((2, 0), 0.0)])
         w = (0.5, 0.25)
         assert m(w) == pytest.approx((0.125 - 0.5) ** 2 + 0.25**2)
+
+    def test_rows_match_single_points(self):
+        m = mono(
+            3,
+            [((1, 1, 0), 0.5), ((2, 0, 3), -0.2), ((0, 0, 0), 0.3),
+             ((0, 1, 1), 0.0)],
+        )
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(50, 3))
+        got = m(pts)
+        assert got.shape == (50,)
+        assert [float(v) for v in got] == [m(p) for p in pts]
+        assert isinstance(m(pts[0]), float)
+        assert m(pts[0]) == pytest.approx(
+            (pts[0, 0] * pts[0, 1] - 0.5) ** 2
+            + (pts[0, 0] ** 2 * pts[0, 2] ** 3 + 0.2) ** 2
+            + 0.7**2
+            + (pts[0, 1] * pts[0, 2]) ** 2
+        )
+        assert np.array_equal(mono(3, [])(pts), np.zeros(50))
+        with pytest.raises(ValueError):
+            m(pts[:, :2])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -197,6 +220,71 @@ class TestNonzeroPart:
         # w = -1/2 has an interior solution on [-1, 1]
         m = mono(1, [((1,), -0.5)])
         assert rlct_monomial_sos(m).as_tuple() == (F(1), 1)
+
+
+class TestSignOrthants:
+    """Hand-derived cases for each branch of the per-orthant check."""
+
+    def codim(self, dim, terms, domain):
+        m = mono(dim, terms, domain)
+        return engine.nonzero_codim(split_parts(m), m.domain)
+
+    def test_forced_negative_sign_with_lower_bound(self):
+        # w = -1/2 on (-1, -1/10): |w| lies in (1/10, 1)
+        assert self.codim(1, [((1,), -0.5)], [(-1.0, -0.1)]) == 1
+
+    def test_positive_sign_with_lower_bound(self):
+        # w = 1/2 on (1/10, 1): |w| lies in (1/10, 1)
+        assert self.codim(1, [((1,), 0.5)], [(0.1, 1.0)]) == 1
+
+    @pytest.mark.parametrize(
+        "c, domain", [(-0.5, (0.0, 1.0)), (0.5, (-1.0, 0.0))],
+        ids=["negative-on-positive-box", "positive-on-negative-box"],
+    )
+    def test_impossible_sign(self, c, domain):
+        with pytest.raises(EmptyFiber, match="misses the domain"):
+            self.codim(1, [((1,), c)], [domain])
+
+    @pytest.mark.parametrize("c, want", [(-0.25, 2), (0.25, None)])
+    def test_gf2_elimination(self, c, want):
+        # w1 = -1/2 pivots on w1; w1 w2 = c reduces to the sign of w2,
+        # which is positive for c < 0 and negative (off the box) for c > 0
+        terms = [((1, 0), -0.5), ((1, 1), c)]
+        domain = [(-1.0, 1.0), (0.0, 1.0)]
+        if want is None:
+            with pytest.raises(EmptyFiber, match="misses the domain"):
+                self.codim(2, terms, domain)
+        else:
+            assert self.codim(2, terms, domain) == want
+
+    def test_gf2_contradiction(self):
+        # w1 > 0 and w2 > 0 force w1 w2 > 0, not -1/4
+        terms = [((1, 0), 0.5), ((0, 1), 0.5), ((1, 1), -0.25)]
+        with pytest.raises(EmptyFiber, match="no sign orthant"):
+            self.codim(2, terms, [(-1.0, 1.0)] * 2)
+
+    def test_boundary_only_fiber_solves_one_lp(self, monkeypatch):
+        # x_j^2 = 1 on (-1, 1)^8: every one of the 2^8 orthants has the
+        # bounds |x_j| < 1, so one LP finds the fiber on the boundary
+        calls = []
+        linprog = engine.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "linprog", spy)
+        d = 8
+        terms = [(tuple(2 * (j == i) for j in range(d)), 1.0) for i in range(d)]
+        with pytest.raises(NoInteriorSolution):
+            self.codim(d, terms, [(-1.0, 1.0)] * d)
+        assert len(calls) == 1
+
+    def test_too_many_free_signs(self):
+        d = 21
+        terms = [(tuple(2 * (j == i) for j in range(d)), 1.0) for i in range(d)]
+        with pytest.raises(TooLarge, match="2\\^21"):
+            self.codim(d, terms, [(-2.0, 2.0)] * d)
 
 
 class TestScaling:

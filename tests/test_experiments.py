@@ -12,6 +12,7 @@ from latentforest import (
     ModelParams,
     NoSuchDepth,
     TooFewLeaves,
+    TooLarge,
     canonicalize,
     covariance,
     lattice5_host,
@@ -28,6 +29,7 @@ from latentforest import (
     suff_stats,
     suff_stats_from_cov,
 )
+from latentforest import experiments
 
 
 class TestGenerators:
@@ -242,6 +244,28 @@ class TestRunExperiment:
 
         threaded = run_experiment(cfg, threads=2)
         assert threaded.rows == res.rows
+
+
+    def test_trivalent_class_count_is_fibonacci(self):
+        fib = [1, 1]
+        while len(fib) < 25:
+            fib.append(fib[-1] + fib[-2])
+        for m in range(3, 12):
+            for seed in (0, 5):
+                lat = subforest_lattice(random_trivalent_tree(m, seed))
+                assert len(lat) == fib[2 * m - 2]  # F(2m - 1)
+        # F(25) = 75025 classes at 13 leaves, F(27) = 196418 at 14
+        assert experiments._trivalent_leaf_bound() == 13
+
+    @pytest.mark.parametrize("m", [(6, 14), (6, 10**400)])
+    def test_depth_comparison_refuses_large_trees_first(self, m, monkeypatch):
+        def unused(*args):
+            raise AssertionError("a tree was drawn")
+
+        monkeypatch.setattr(experiments, "random_trivalent_tree", unused)
+        cfg = ExperimentConfig(kind="depth_comparison", m=m, replicates=1)
+        with pytest.raises(TooLarge, match=f"{m[1]} leaves"):
+            run_experiment(cfg)
 
 
 class TestPopulationRecovery:
