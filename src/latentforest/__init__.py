@@ -21,6 +21,7 @@ from .errors import (
     NotSubforest,
     ObservedDegreeError,
     TooFewLeaves,
+    TooFewSamples,
     TooLarge,
     UnknownNode,
     UnrealizablePattern,

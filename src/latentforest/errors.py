@@ -31,9 +31,10 @@ class TooLarge(LatentForestError):
     """An input is past a documented size bound.
 
     Raised for a host whose subforest lattice has more than
-    ``forests.LATTICE_CLASS_BOUND`` classes, and for a monomial system
-    whose nonzero part leaves more than 20 coordinate signs free (over
-    2^20 sign orthants to check).
+    ``forests.LATTICE_CLASS_BOUND`` classes, for a simulation sample
+    size above ``experiments.SAMPLE_SIZE_BOUND``, and for a monomial
+    system whose nonzero part leaves more than 20 coordinate signs free
+    (over 2^20 sign orthants to check).
     """
 
 
@@ -77,6 +78,10 @@ class CertificateFailure(LatentForestError):
 
 class NotPositiveDefinite(LatentForestError):
     """A covariance matrix that must be positive definite is not."""
+
+
+class TooFewSamples(LatentForestError):
+    """sBIC needs a sample size n of at least 2 (it uses log log n)."""
 
 
 class NotComparable(LatentForestError):

@@ -31,7 +31,12 @@ from .forests import (
     subforest_lattice,
 )
 from .gaussian import EmConfig, ModelParams, sample, suff_stats
-from .selection import _csv_text, pruned_chain, score_lattice
+from .selection import (
+    _check_sample_size,
+    _csv_text,
+    pruned_chain,
+    score_lattice,
+)
 
 
 def lattice5_host() -> Forest:
@@ -125,6 +130,12 @@ def _class_at_depth(lat: ModelLattice, depth: int, seed) -> int:
 # experiment configuration and results
 
 KINDS = ("lattice5", "depth_comparison")
+#: Largest sample size a protocol draws.  A replicate holds its whole
+#: n x p sample twice while drawing it (the normal draws and their
+#: product with the Cholesky factor), 16 n p bytes; at this bound and
+#: the 13 leaves of the largest admitted depth_comparison tree that is
+#: about 0.2 GB.
+SAMPLE_SIZE_BOUND = 10**6
 # the settings a config JSON document carries, in the order written
 _JSON_FIELDS = ("kind", "n_values", "replicates", "master_seed", "m", "corr")
 
@@ -166,6 +177,11 @@ class ExperimentConfig:
             raise ValueError("replicate count must be at least 1")
         if not self.n_values or any(n <= 0 for n in self.n_values):
             raise ValueError("n values must be positive")
+        _check_sample_size(min(self.n_values))
+        if max(self.n_values) > SAMPLE_SIZE_BOUND:
+            raise TooLarge(
+                f"n = {max(self.n_values)} is above the sample size bound "
+                f"{SAMPLE_SIZE_BOUND}")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("n values must be strictly increasing")
         if not 0 < abs(self.corr) < 1:

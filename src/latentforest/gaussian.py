@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -158,6 +158,12 @@ class _Layout:
                        dtype=float)
         return var, rho
 
+    def params(self, theta: np.ndarray) -> ModelParams:
+        """ModelParams of theta = (observed variances, edge correlations)."""
+        f, p = self.forest, self.p
+        return ModelParams(dict(zip(f.observed, theta[:p].tolist())),
+                           dict(zip(f.edges, theta[p:].tolist())))
+
     def joint(self, scale: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """D R D over all nodes, R the path products of the edge correlations."""
         corr = self.eye.copy()
@@ -224,10 +230,11 @@ def _aligned_moment(stats: SufficientStats, order) -> np.ndarray:
         return stats.second_moment
     if len(set(stats.names)) != len(stats.names):
         raise ValueError(f"duplicate column names in {stats.names}")
-    try:
-        perm = [stats.names.index(v) for v in order]
-    except ValueError as exc:
-        raise UnknownNode(f"stats lack a column for {exc}") from exc
+    missing = [v for v in order if v not in stats.names]
+    if missing:
+        raise UnknownNode(
+            f"stats lack a column for {', '.join(map(repr, missing))}")
+    perm = [stats.names.index(v) for v in order]
     return stats.second_moment[np.ix_(perm, perm)]
 
 
@@ -396,77 +403,147 @@ def h_q_monomials(host, cov, names=None) -> MonomialSos:
     return MonomialSos(dim=dim, terms=tuple(terms), domain=domain)
 
 
+def _em_map(lay: _Layout, k: np.ndarray, c: np.ndarray, s_obs: np.ndarray,
+            m: np.ndarray) -> np.ndarray:
+    """One plain EM map from the point whose joint covariance is k, with
+    c the Cholesky factor of K_OO; returns theta = (observed variances,
+    edge correlations).  m is an n x n work matrix whose K_OO block
+    already holds s_obs.
+    """
+    p = lay.p
+    if p < len(lay.nodes):
+        klo = k[p:, :p]
+        j = _solve(c, klo.T).T  # K_LO K_OO^{-1}
+        m[:p, p:] = s_obs @ j.T
+        m[p:, :p] = m[:p, p:].T
+        m[p:, p:] = k[p:, p:] - j @ klo.T + j @ s_obs @ j.T
+    diag = np.maximum(m.diagonal(), VAR_FLOOR)
+    cap = 1.0 - CORR_CLAMP
+    rho = np.clip(m.reshape(-1)[lay.uv] / np.sqrt(diag[lay.u] * diag[lay.v]),
+                  -cap, cap)
+    return np.concatenate((diag[:p], rho))
+
+
+def _work_matrix(lay: _Layout, s_obs: np.ndarray) -> np.ndarray:
+    n = len(lay.nodes)
+    m = np.empty((n, n))
+    m[: lay.p, : lay.p] = s_obs
+    return m
+
+
 def _em_step(f: Forest, params: ModelParams, s_obs: np.ndarray,
              config: EmConfig) -> ModelParams:
-    """One EM update of params; em_fit with a single iteration."""
-    one = replace(config, max_iter=1, restarts=1)
-    return em_fit(f, SufficientStats(1, s_obs), one, init=params).params
+    """One plain EM update of params (config is not used)."""
+    lay = _Layout(f)
+    s_obs = _square(s_obs)
+    var, rho = lay.vectors(params)
+    k = lay.joint(np.sqrt(var), rho)
+    theta = _em_map(lay, k, _cholesky(k[: lay.p, : lay.p]), s_obs,
+                    _work_matrix(lay, s_obs))
+    return lay.params(theta)
 
 
 def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
            init: ModelParams | None = None) -> EmResult:
-    """Maximum likelihood over a fixed forest by expectation maximization.
+    """Maximum likelihood over a fixed forest by accelerated EM.
 
-    The E-step imputes the latent second moments from the current joint
-    covariance; the M-step is the exact complete-data update (moment
-    matching on edges with latent variances rescaled to one), so the
-    observed log-likelihood never decreases.  Runs config.restarts
-    random initializations, or starts from init in the first run.
+    One EM map imputes the latent second moments from the current joint
+    covariance (E-step) and applies the exact complete-data update
+    (M-step: moment matching on edges, latent variances rescaled to
+    one), so it never lowers the observed log-likelihood.  The maps act
+    on theta = (observed variances, edge correlations) and are
+    accelerated by SQUAREM (Varadhan & Roland 2008, scheme SqS3): a
+    cycle maps theta0 to theta1 and theta2, sets r = theta1 - theta0 and
+    v = theta2 - theta1 - r, steps to theta0 - 2 a r + a^2 v with
+    a = min(-|r| / |v|, -1), clipped into the VAR_FLOOR / CORR_CLAMP
+    box.  Only when the covariance there factors and its log-likelihood
+    is at least theta2's does the cycle take one stabilizing map from
+    there, and its result replaces theta2 when it keeps that bound; so
+    the log-likelihoods a run keeps never fall.
+
+    ``iters`` and ``config.max_iter`` count EM maps, up to three per
+    cycle; a cycle cut short by ``max_iter`` ends on its last plain
+    map.  A run converges when one map, or one whole cycle, changes the
+    log-likelihood by at most ``rel_tol * (1 + |ll|)``, ll the value
+    before the change.  Runs config.restarts random initializations, or
+    starts from init in the first run, and returns the best.
 
     The forest is compiled once into an observed-first layout with flat
     path-product indices (see _Layout), so K_OO, K_LO and K_LL are
-    slices and the parameters are two vectors.  Each iteration factors
-    K_OO once by a direct LAPACK potrf call and reuses the factor, by
-    potrs, for the log-likelihood of the current parameters and for the
-    E-step from them.  The stats and init are checked once on entry, so
-    the loop does no finiteness checks; stats that are not symmetric
-    positive semidefinite raise NotPositiveDefinite.
+    slices.  Each point is factored once by a direct LAPACK potrf call;
+    that factor gives its log-likelihood and the E-step from it.  The
+    stats and init are checked once on entry, so the loop does no
+    finiteness checks; stats that are not symmetric positive
+    semidefinite raise NotPositiveDefinite.
     """
     f = _as_forest(forest)
     config = config or EmConfig()
     s_obs = _second_moment(_square(_aligned_moment(stats, f.observed)))
     lay = _Layout(f)
     start = None if init is None else lay.vectors(init)
-    p, n = lay.p, len(lay.nodes)
-    u, v, uv = lay.u, lay.v, lay.uv
+    p, max_iter = lay.p, config.max_iter
     cap = 1.0 - CORR_CLAMP
+    m = _work_matrix(lay, s_obs)
+    scale = np.ones(len(lay.nodes))
+
+    def point(theta):
+        """(k, c, loglik) at theta; NotPositiveDefinite if K_OO is singular."""
+        scale[:p] = np.sqrt(theta[:p])
+        k = lay.joint(scale, theta[p:])
+        c = _cholesky(k[:p, :p])
+        return k, c, _loglik(c, s_obs, stats.n)
+
+    def step(k, c):
+        """One plain map: (theta, k, c, loglik) at its result."""
+        theta = _em_map(lay, k, c, s_obs, m)
+        return (theta, *point(theta))
+
+    def small(new, old):
+        return abs(new - old) <= config.rel_tol * (1.0 + abs(old))
+
     best: EmResult | None = None
     for r in range(max(1, config.restarts)):
         if r == 0 and start is not None:
-            var, rho = start
+            theta = np.concatenate((start[0][:p], start[1]))
         else:
             rng = np.random.default_rng([config.seed, r])
-            var = np.ones(n)
-            var[:p] = np.maximum(np.diag(s_obs), 1e-6)
-            rho = np.array([rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
-                            for _ in f.edges], dtype=float)
-        k = lay.joint(np.sqrt(var), rho)
-        c = _cholesky(k[:p, :p])
-        ll = _loglik(c, s_obs, stats.n)
-        m = np.empty((n, n))
-        m[:p, :p] = s_obs
-        mflat = m.reshape(-1)
+            rho = [rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+                   for _ in f.edges]
+            theta = np.concatenate((np.maximum(np.diag(s_obs), 1e-6), rho))
+        k, c, ll = point(theta)
         converged, it = False, 0
-        for it in range(1, config.max_iter + 1):
-            if p < n:
-                klo = k[p:, :p]
-                j = _solve(c, klo.T).T  # K_LO K_OO^{-1}
-                m[:p, p:] = s_obs @ j.T
-                m[p:, :p] = m[:p, p:].T
-                m[p:, p:] = k[p:, p:] - j @ klo.T + j @ s_obs @ j.T
-            diag = np.maximum(m.diagonal(), VAR_FLOOR)
-            rho = np.clip(mflat[uv] / np.sqrt(diag[u] * diag[v]), -cap, cap)
-            var[:p] = diag[:p]
-            k = lay.joint(np.sqrt(var), rho)
-            c = _cholesky(k[:p, :p])
-            new_ll = _loglik(c, s_obs, stats.n)
-            converged = abs(new_ll - ll) <= config.rel_tol * (1.0 + abs(ll))
-            ll = new_ll
-            if converged:
+        while it < max_iter and not converged:
+            t0, ll0 = theta, ll
+            theta, k, c, ll = step(k, c)
+            it += 1
+            converged = small(ll, ll0)
+            if converged or it == max_iter:
                 break
-        params = ModelParams(dict(zip(f.observed, var[:p].tolist())),
-                             dict(zip(f.edges, rho.tolist())))
-        result = EmResult(params=params, loglik=ll, iters=it, converged=converged)
+            t1, ll1 = theta, ll
+            theta, k, c, ll = step(k, c)
+            it += 1
+            converged = small(ll, ll1)
+            if converged or it == max_iter:
+                break
+            dr = t1 - t0
+            dv = theta - t1 - dr
+            nv = math.sqrt(dv @ dv)
+            a = min(-math.sqrt(dr @ dr) / nv, -1.0) if nv > 0 else -1.0
+            ext = t0 - 2.0 * a * dr + a * a * dv
+            ext[:p] = np.maximum(ext[:p], VAR_FLOOR)
+            ext[p:] = np.clip(ext[p:], -cap, cap)
+            try:
+                ke, ce, ll_ext = point(ext)
+            except NotPositiveDefinite:
+                continue
+            if ll_ext >= ll:
+                stab = step(ke, ce)
+                it += 1
+                if stab[3] >= ll:
+                    theta, k, c, ll = stab
+                    converged = small(ll, ll_ext) or small(ll, ll0)
+        result = EmResult(params=lay.params(theta), loglik=ll, iters=it,
+                          converged=converged)
         if best is None or result.loglik > best.loglik:
             best = result
     return best

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .engine import Rlct
-from .errors import NotComparable, TooFewLeaves
+from .errors import NotComparable, TooFewLeaves, TooFewSamples
 from .forest_rlct import rlct_forest_pair
 from .forests import (
     CanonicalForest,
@@ -68,6 +68,11 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     )
     lattice.rlct_cache[key] = out
     return out
+
+
+def _check_sample_size(n: int) -> None:
+    if n < 2:
+        raise TooFewSamples(f"sBIC needs n >= 2 samples, got n = {n}")
 
 
 def log_lprime(
@@ -145,6 +150,9 @@ class ScoreRow:
     bic: float
     sbic: float
     params: ModelParams | None = None
+    #: EM maps and convergence of the class's fit, when a fit object gave them
+    iters: int | None = None
+    converged: bool | None = None
 
 
 def _csv_text(header, rows) -> str:
@@ -156,6 +164,16 @@ def _csv_text(header, rows) -> str:
 
 # the columns of a table's CSV and of its JSON rows, in order
 _ROW_FIELDS = ("index", "code", "dim", "loglik", "bic", "sbic")
+# fields a JSON row carries after those, only when the row has them
+_FIT_FIELDS = ("iters", "converged")
+
+
+def _row_json(r: ScoreRow) -> dict:
+    doc = {k: getattr(r, k) for k in _ROW_FIELDS}
+    doc.update(
+        (k, getattr(r, k)) for k in _FIT_FIELDS if getattr(r, k) is not None
+    )
+    return doc
 
 
 @dataclass(frozen=True)
@@ -185,9 +203,7 @@ class ScoreTable:
         raise KeyError(index)
 
     def to_json(self) -> str:
-        return json.dumps(
-            [{k: getattr(r, k) for k in _ROW_FIELDS} for r in self.rows]
-        )
+        return json.dumps([_row_json(r) for r in self.rows])
 
     def to_csv(self) -> str:
         return _csv_text(
@@ -195,20 +211,22 @@ class ScoreTable:
         )
 
 
-def _as_logliks(fits, count: int) -> list[float]:
-    def val(x) -> float:
-        return float(getattr(x, "loglik", x))
-
+def _aligned(fits, count: int) -> list:
+    """fits as a list aligned with the class indices 0..count-1."""
     if isinstance(fits, Mapping):
         if set(fits) != set(range(count)):
             raise ValueError("fits mapping must cover every class index")
-        return [val(fits[j]) for j in range(count)]
-    out = [val(x) for x in fits]
+        return [fits[j] for j in range(count)]
+    out = list(fits)
     if len(out) != count:
         raise ValueError(
             f"got {len(out)} fitted values for {count} classes"
         )
     return out
+
+
+def _as_logliks(fits, count: int) -> list[float]:
+    return [float(getattr(x, "loglik", x)) for x in _aligned(fits, count)]
 
 
 def sbic_all(
@@ -221,11 +239,15 @@ def sbic_all(
 
     ``fits`` holds the fitted log-likelihood of each class (a sequence
     aligned with class indices, a mapping from index, or objects with a
-    ``loglik`` attribute).  The class indexing of the lattice is a
-    linear extension of its order, which is what the solver needs.
+    ``loglik`` attribute).  Fit objects that also carry ``iters`` and
+    ``converged``, such as :class:`EmResult`, pass them to the rows.
+    The class indexing of the lattice is a linear extension of its
+    order, which is what the solver needs.
     """
+    _check_sample_size(n)
     k = len(lattice)
-    lls = _as_logliks(fits, k)
+    items = _aligned(fits, k)
+    lls = _as_logliks(items, k)
     below = [lattice.strictly_below(j) for j in range(k)]
 
     def lp(i: int, j: int) -> float:
@@ -241,6 +263,8 @@ def sbic_all(
             bic=bic(lls[j], lattice.dims[j], n),
             sbic=xs[j],
             params=None if params is None else params[j],
+            iters=getattr(items[j], "iters", None),
+            converged=getattr(items[j], "converged", None),
         )
         for j in range(k)
     )
@@ -253,13 +277,9 @@ def score_lattice(
     config: EmConfig | None = None,
 ) -> ScoreTable:
     """Fit every class of the lattice by EM and score the results."""
+    _check_sample_size(stats.n)
     fits = [em_fit(c, stats, config) for c in lattice.classes]
-    return sbic_all(
-        lattice,
-        [f.loglik for f in fits],
-        stats.n,
-        params=[f.params for f in fits],
-    )
+    return sbic_all(lattice, fits, stats.n, params=[f.params for f in fits])
 
 
 def select_exhaustive(
@@ -439,26 +459,26 @@ def pruned_chain(
     """
     cfg = config or EmConfig()
     n = stats.n
+    _check_sample_size(n)
     host_f = _as_forest(host)
     cur = canonicalize(host_f)
     res = em_fit(cur, stats, cfg)
     runs = {e: 1 << b for b, e in enumerate(host_f.edges)}
-    chain, masks, lls, fitted = [], [], [], []
+    chain, masks, fits = [], [], []
     while True:
         # host edge mask of the (disjoint) run behind each edge of ``cur``
         runs = {e: sum(runs[s] for s in src)
                 for e, src in zip(cur.forest.edges, cur.edge_sources)}
         chain.append(cur)
         masks.append(sum(runs.values()))
-        lls.append(res.loglik)
-        fitted.append(res.params)
+        fits.append(res)
         if not cur.forest.edges:
             break
         best = None
         for k in range(len(cur.forest.edges)):
             cand = canonicalize(_drop_edge(cur.forest, k))
             res = em_fit(
-                cand, stats, cfg, init=_warm_start(cand, fitted[-1])
+                cand, stats, cfg, init=_warm_start(cand, fits[-1].params)
             )
             dim = model_dimension(cand)
             key = (-bic(res.loglik, dim, n), dim, cand.code)
@@ -469,7 +489,8 @@ def pruned_chain(
     # score the chain as a totally ordered lattice, bottom up
     size = len(chain)
     lat = ModelLattice(host_f, tuple(masks[::-1]))
-    scored = sbic_all(lat, lls[::-1], n, params=fitted[::-1])
+    up = fits[::-1]
+    scored = sbic_all(lat, up, n, params=[f.params for f in up])
     table = ScoreTable(
         n=n,
         rows=tuple(

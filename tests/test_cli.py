@@ -207,6 +207,10 @@ class TestSelect:
         assert doc["criterion"] == "bic"
         assert doc["n"] == 500
         assert doc["selected"] in {r["code"] for r in doc["table"]}
+        # rows of fitted classes say how their EM run ended
+        for row in doc["table"]:
+            assert isinstance(row["iters"], int) and row["iters"] >= 1
+            assert row["converged"] is True
 
     def test_chain_mode(self, tmp_path, capsys):
         f = quartet()
@@ -417,6 +421,39 @@ class TestErrors:
             warnings.simplefilter("error")
             assert main(["fit", "--forest", forest, "--data", str(big)]) == 1
         assert capsys.readouterr().err.endswith("second moments overflow\n")
+
+    def test_missing_column_named(self, star_files, tmp_path, capsys):
+        forest, data = star_files
+        x = np.loadtxt(data, delimiter=",", skiprows=1)
+        renamed = write_csv(tmp_path / "renamed.csv", ["1", "2", "x"], x)
+        for cmd in (["fit", "--forest"], ["select", "--tree"]):
+            assert main(cmd + [forest, "--data", renamed]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: stats lack a column for '3'\n"
+
+    def test_one_sample_refused(self, star_files, tmp_path, capsys):
+        forest, data = star_files
+        one = tmp_path / "one.csv"
+        one.write_text("".join(Path(data).read_text().splitlines(True)[:2]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "lattice5", "n_values": [1]}))
+        for argv in (["select", "--tree", forest, "--data", str(one)],
+                     ["simulate", "--config", str(cfg)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: sBIC needs n >= 2 samples, got n = 1\n"
+            assert main(argv + ["--json"]) == 1
+            doc = json.loads(capsys.readouterr().err)
+            assert doc["error"]["type"] == "TooFewSamples"
+
+    def test_sample_size_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "lattice5",
+                                   "n_values": [1_000_000_000]}))
+        assert main(["simulate", "--config", str(cfg), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"]["type"] == "TooLarge"
+        assert "sample size bound" in doc["error"]["message"]
 
     def test_ragged_rows(self, tmp_path, capsys):
         forest = write_forest(tmp_path / "f.json", star3())

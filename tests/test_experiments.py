@@ -12,6 +12,7 @@ from latentforest import (
     ModelParams,
     NoSuchDepth,
     TooFewLeaves,
+    TooFewSamples,
     TooLarge,
     canonicalize,
     covariance,
@@ -30,6 +31,7 @@ from latentforest import (
     suff_stats_from_cov,
 )
 from latentforest import experiments
+from latentforest.experiments import SAMPLE_SIZE_BOUND
 
 
 class TestGenerators:
@@ -105,6 +107,15 @@ class TestConfig:
             ExperimentConfig(kind="lattice5", corr=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="lattice5", corr=1.0)
+
+    def test_sample_size_range(self):
+        with pytest.raises(TooFewSamples, match="sBIC needs n >= 2"):
+            ExperimentConfig(kind="lattice5", n_values=(1, 50))
+        big = SAMPLE_SIZE_BOUND + 1
+        with pytest.raises(TooLarge, match="sample size bound"):
+            ExperimentConfig(kind="lattice5", n_values=(50, big))
+        cfg = ExperimentConfig(kind="lattice5", n_values=(2, SAMPLE_SIZE_BOUND))
+        assert cfg.n_values == (2, SAMPLE_SIZE_BOUND)
 
     @pytest.mark.parametrize(
         "bad",

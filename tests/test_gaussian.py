@@ -1,6 +1,7 @@
 import json
 import math
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -145,24 +146,28 @@ def reference_em_step(f, params, s_obs):
     return ModelParams(leaf_var=new_var, edge_corr=new_corr)
 
 
+def reference_start(f, s_obs, config, r, init=None):
+    """The starting params of restart r, as em_fit draws them."""
+    if r == 0 and init is not None:
+        return init
+    rng = np.random.default_rng([config.seed, r])
+    return ModelParams(
+        leaf_var={
+            v: max(float(s_obs[i, i]), 1e-6) for i, v in enumerate(f.observed)
+        },
+        edge_corr={
+            e: float(rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0]))
+            for e in f.edges
+        },
+    )
+
+
 def reference_em_fit(f, stats, config, init=None):
+    """Plain EM, one map per iteration, best of the restarts."""
     s_obs = stats.second_moment
     best = None
     for r in range(max(1, config.restarts)):
-        if r == 0 and init is not None:
-            params = init
-        else:
-            rng = np.random.default_rng([config.seed, r])
-            params = ModelParams(
-                leaf_var={
-                    v: max(float(s_obs[i, i]), 1e-6)
-                    for i, v in enumerate(f.observed)
-                },
-                edge_corr={
-                    e: float(rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0]))
-                    for e in f.edges
-                },
-            )
+        params = reference_start(f, s_obs, config, r, init)
         ll = reference_loglik(f, params, s_obs, stats.n)
         converged = False
         it = 0
@@ -620,15 +625,38 @@ class TestEm:
 
 
 class TestEmMatchesReference:
-    """em_fit equals the dict-based oracle exactly, not approximately."""
+    """The plain map equals the dict-based oracle exactly, step by step;
+    the accelerated em_fit is checked against the map's own guarantees.
+    """
 
     @staticmethod
-    def assert_same(res, want):
-        params, ll, iters, converged = want
-        assert res.loglik == ll
-        assert res.iters == iters
-        assert res.converged == converged
-        assert res.params == params
+    def assert_matches(f, stats, config, init=None):
+        s = stats.second_moment
+        # _em_step is one plain map: bit-equal to the oracle at every step
+        # of the oracle's run (at most 50), from the oracle's start
+        steps = min(reference_em_fit(f, stats, config, init)[2], 50)
+        ours = want = reference_start(f, s, config, 0, init)
+        for _ in range(steps):
+            ours = _em_step(f, ours, s, config)
+            want = reference_em_step(f, want, s)
+            assert ours == want
+        res = em_fit(f, stats, config, init=init)
+        assert res.loglik == pytest.approx(
+            model_loglik(f, res.params, stats), rel=1e-12, abs=0.0
+        )
+        assert res.iters <= config.max_iter
+        assert res.converged or res.iters == config.max_iter
+        if res.converged:
+            gain = model_loglik(f, _em_step(f, res.params, s, config), stats)
+            assert gain - res.loglik <= config.rel_tol * (1.0 + abs(res.loglik))
+        # cutting one run short never lowers its log-likelihood
+        start = reference_start(f, s, config, 0, init)
+        lls = [
+            em_fit(f, stats, replace(config, max_iter=k, restarts=1),
+                   init=start).loglik
+            for k in range(1, min(res.iters, 30) + 1)
+        ]
+        assert lls == sorted(lls)
 
     def test_lattice5_classes(self):
         host = lattice5_host()
@@ -639,28 +667,20 @@ class TestEmMatchesReference:
             edge_corr={e: 0.6 for e in rep.edges},
         )
         x = sample(rep, truth, 125, seed=3)
-        stats = suff_stats(x, names=rep.observed)
         config = EmConfig(restarts=2, max_iter=300, seed=5)
         assert len(lat.classes) == 34
         for c in lat.classes:
             assert c.forest.observed == rep.observed
-            self.assert_same(
-                em_fit(c, stats, config),
-                reference_em_fit(c.forest, suff_stats(x), config),
-            )
+            self.assert_matches(c.forest, suff_stats(x), config)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_trivalent_from_random_init(self, m):
         f = random_trivalent_tree(m, m)
         rng = np.random.default_rng(100 + m)
         x = sample(f, random_params(f, rng), 80, seed=m)
-        stats = suff_stats(x)
         init = random_params(f, rng)
         config = EmConfig(restarts=2, max_iter=400, seed=m)
-        self.assert_same(
-            em_fit(f, stats, config, init=init),
-            reference_em_fit(f, stats, config, init=init),
-        )
+        self.assert_matches(f, suff_stats(x), config, init=init)
 
     @pytest.mark.parametrize("m,seed", [(3, 21), (4, 22), (5, 23), (6, 24)])
     def test_mixed_node_order_covariance(self, m, seed):
@@ -694,11 +714,8 @@ class TestEmMatchesReference:
         x = sample(f, random_params(f, rng), 90, seed=seed)
         stats = suff_stats(x)
         config = EmConfig(restarts=2, max_iter=300, seed=seed)
-        self.assert_same(em_fit(f, stats, config),
-                         reference_em_fit(f, stats, config))
-        init = random_params(f, rng)
-        self.assert_same(em_fit(f, stats, config, init=init),
-                         reference_em_fit(f, stats, config, init=init))
+        self.assert_matches(f, stats, config)
+        self.assert_matches(f, stats, config, init=random_params(f, rng))
 
     def test_clamped_correlation(self):
         # identical columns drive the edge correlation onto the clamp
@@ -706,8 +723,8 @@ class TestEmMatchesReference:
         z = np.random.default_rng(17).normal(size=(30, 1))
         stats = suff_stats(np.hstack([z, z]))
         config = EmConfig(restarts=1)
+        self.assert_matches(f, stats, config)
         res = em_fit(f, stats, config)
-        self.assert_same(res, reference_em_fit(f, stats, config))
         assert res.params.edge_corr[edge("1", "2")] == 1.0 - 1e-9
 
     def test_em_step(self, quartet):
@@ -720,10 +737,13 @@ class TestEmMatchesReference:
             assert cur == want
 
     def test_one_factorization_per_iteration(self, quartet):
+        # one potrf per point: the start, each of the 7 maps, and the
+        # extrapolated point of the two cycles that reach it (maps 1-3
+        # and 4-6; map 7 starts a third cycle and ends the run)
         s = suff_stats(sample(quartet, quartet_params(), 60, seed=16))
         with mock.patch.object(
             gaussian, "dpotrf", wraps=gaussian.dpotrf
         ) as spy:
             res = em_fit(quartet, s, EmConfig(restarts=1, max_iter=7))
         assert res.iters == 7
-        assert spy.call_count == res.iters + 1
+        assert spy.call_count == 1 + 7 + 2

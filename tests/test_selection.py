@@ -16,6 +16,7 @@ from latentforest import (
     ScoreRow,
     ScoreTable,
     TooFewLeaves,
+    TooFewSamples,
     bic,
     build_forest,
     canonicalize,
@@ -226,6 +227,28 @@ class TestSbicSolver:
         assert [r.sbic for r in a.rows] == [r.sbic for r in b.rows]
         assert [r.sbic for r in a.rows] == [r.sbic for r in c.rows]
 
+    def test_fit_objects_pass_iters_and_converged(self):
+        lat = subforest_lattice(star3())
+        fits = [SimpleNamespace(loglik=-50.0 + j, iters=10 + j,
+                                converged=j != 2) for j in range(len(lat))]
+        table = sbic_all(lat, fits, 99)
+        assert [r.iters for r in table.rows] == [10, 11, 12, 13, 14]
+        assert [r.converged for r in table.rows] == [True, True, False,
+                                                     True, True]
+        rows = json.loads(table.to_json())
+        assert list(rows[2])[-2:] == ["iters", "converged"]
+        assert (rows[2]["iters"], rows[2]["converged"]) == (12, False)
+        header = table.to_csv().splitlines()[0]
+        assert header == "index,code,dim,loglik,bic,sbic"
+        # plain log-likelihoods give rows without the two fields
+        bare = json.loads(sbic_all(lat, [f.loglik for f in fits], 99).to_json())
+        assert all("iters" not in r and "converged" not in r for r in bare)
+
+    def test_needs_two_samples(self):
+        lat = subforest_lattice(star3())
+        with pytest.raises(TooFewSamples, match="sBIC needs n >= 2"):
+            sbic_all(lat, [-1.0] * len(lat), 1)
+
     def test_bad_fits(self):
         lat = subforest_lattice(star3())
         with pytest.raises(ValueError):
@@ -301,6 +324,7 @@ class TestExhaustive:
         assert best_bic.code == best.code
         assert len(table.rows) == len(lat)
         assert all(r.params is not None for r in table.rows)
+        assert all(r.converged and r.iters >= 1 for r in table.rows)
 
     def test_score_lattice_rows_align(self):
         host = star3()
