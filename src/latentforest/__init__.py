@@ -89,7 +89,6 @@ from .selection import (
     ScoreRow,
     ScoreTable,
     bic,
-    initial_tree,
     log_lprime,
     pair_rlct,
     pruned_chain,

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import EmptyFiber, EmptyZeroSet, NoInteriorSolution, TooLarge
-from .polyhedra import one_distance_lp, rational_rank
+from .polyhedra import linprog, one_distance_lp, rational_rank
 
 #: margin below which an LP interior slack counts as boundary contact
 INTERIOR_TOL = 1e-7

@@ -162,6 +162,8 @@ class ExperimentConfig:
         for key in ("replicates", "master_seed"):
             if not isinstance(getattr(self, key), numbers.Integral):
                 raise ValueError(f"{key} must be an integer")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for key in ("n_values", "m"):
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)) or not all(
@@ -195,6 +197,9 @@ class ExperimentConfig:
         d = json.loads(text)
         if not isinstance(d, dict) or "kind" not in d:
             raise ValueError("config must be a JSON object with a kind")
+        unknown = sorted(set(d) - set(_JSON_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**{key: d[key] for key in _JSON_FIELDS if key in d})
 
 

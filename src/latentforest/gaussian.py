@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,15 @@ class EmConfig:
     rel_tol: float = 1e-9
     restarts: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
+            v = getattr(self, key)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -502,7 +512,7 @@ def em_fit(forest, stats: SufficientStats, config: EmConfig | None = None,
         return abs(new - old) <= config.rel_tol * (1.0 + abs(old))
 
     best: EmResult | None = None
-    for r in range(max(1, config.restarts)):
+    for r in range(config.restarts):
         if r == 0 and start is not None:
             theta = np.concatenate((start[0][:p], start[1]))
         else:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .engine import MonomialSos
 from .errors import IntegrationFailure
@@ -131,6 +130,8 @@ def _scan_minima(f, lo: float, hi: float, k: int) -> list[float]:
 
 def _scan_quad(scan, integrand, lo: float, hi: float, k: int = 2049):
     """Vector integrand integrated over [lo, hi], split at scan's minima."""
+    from scipy import integrate
+
     pts = _scan_minima(scan, lo, hi, k)
     return integrate.quad_vec(integrand, lo, hi, points=pts or None)[0]
 

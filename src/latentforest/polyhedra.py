@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CertificateFailure, DimensionTooLarge
 
@@ -193,6 +192,12 @@ def rational_rank(rows) -> int:
         den = lcm(*(x.denominator for x in row))
         ints.append(tuple(int(x * den) for x in row))
     return len(_echelon(ints)[1])
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first LP a run solves."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _highs(c, a_ub, b_ub, a_eq, b_eq, bounds, what: str) -> np.ndarray:

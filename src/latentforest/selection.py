@@ -16,22 +16,19 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.special import logsumexp
 
 from .engine import Rlct
-from .errors import NotComparable, TooFewLeaves, TooFewSamples
+from .errors import NotComparable, TooFewSamples
 from .forest_rlct import rlct_forest_pair
 from .forests import (
     CanonicalForest,
     Forest,
     ModelLattice,
     _as_forest,
-    build_forest,
     canonicalize,
     model_dimension,
     subforest_lattice,
-    _fresh_latent_names,
     _subforest_of_mask,
 )
 from .gaussian import EmConfig, ModelParams, SufficientStats, em_fit
@@ -229,18 +226,14 @@ def _as_logliks(fits, count: int) -> list[float]:
     return [float(getattr(x, "loglik", x)) for x in _aligned(fits, count)]
 
 
-def sbic_all(
-    lattice: ModelLattice,
-    fits,
-    n: int,
-    params: Sequence[ModelParams | None] | None = None,
-) -> ScoreTable:
+def sbic_all(lattice: ModelLattice, fits, n: int) -> ScoreTable:
     """Score every lattice class by BIC and sBIC.
 
     ``fits`` holds the fitted log-likelihood of each class (a sequence
     aligned with class indices, a mapping from index, or objects with a
-    ``loglik`` attribute).  Fit objects that also carry ``iters`` and
-    ``converged``, such as :class:`EmResult`, pass them to the rows.
+    ``loglik`` attribute).  Fit objects that also carry ``params``,
+    ``iters`` and ``converged``, such as :class:`EmResult`, pass them to
+    the rows.
     The class indexing of the lattice is a linear extension of its
     order, which is what the solver needs.
     """
@@ -262,7 +255,7 @@ def sbic_all(
             loglik=lls[j],
             bic=bic(lls[j], lattice.dims[j], n),
             sbic=xs[j],
-            params=None if params is None else params[j],
+            params=getattr(items[j], "params", None),
             iters=getattr(items[j], "iters", None),
             converged=getattr(items[j], "converged", None),
         )
@@ -279,7 +272,7 @@ def score_lattice(
     """Fit every class of the lattice by EM and score the results."""
     _check_sample_size(stats.n)
     fits = [em_fit(c, stats, config) for c in lattice.classes]
-    return sbic_all(lattice, fits, stats.n, params=[f.params for f in fits])
+    return sbic_all(lattice, fits, stats.n)
 
 
 def select_exhaustive(
@@ -293,112 +286,6 @@ def select_exhaustive(
     lat = lattice if lattice is not None else subforest_lattice(host)
     table = score_lattice(lat, stats, config)
     return lat.classes[table.best(criterion)], table
-
-
-# --------------------------------------------------------------------------
-# starting trees
-
-
-def initial_tree(
-    stats: SufficientStats,
-    names: Sequence[str] | None = None,
-    config: EmConfig | None = None,
-) -> Forest:
-    """Build a trivalent starting tree from sample correlations.
-
-    Neighbor joining on the distances d(v, w) = -log |r_vw| (absolute
-    correlations floored at 1e-3 so unrelated columns stay at finite
-    distance) gives the topology; one pass of nearest neighbor
-    interchanges, scored by EM log-likelihood, cleans up local errors.
-    """
-    if names is None:
-        names = stats.names
-    s = np.asarray(stats.second_moment, dtype=float)
-    if names is None:
-        names = tuple(str(i) for i in range(s.shape[0]))
-    names = [str(v) for v in names]
-    p = len(names)
-    if p < 3:
-        raise TooFewLeaves(f"need at least 3 observed nodes, got {p}")
-    if s.shape != (p, p):
-        raise ValueError("second moment shape does not match names")
-
-    d = np.sqrt(np.diag(s))
-    r = s / np.outer(d, d)
-    dist = -np.log(np.clip(np.abs(r), 1e-3, 1.0))
-    np.fill_diagonal(dist, 0.0)
-
-    hidden = _fresh_latent_names(names, max(p - 2, 1))
-    nodes = [(v, False) for v in names] + [(h, True) for h in hidden]
-    edges: list[tuple[str, str]] = []
-    active = list(names)
-    dmat = {
-        (u, v): float(dist[i, j])
-        for i, u in enumerate(names)
-        for j, v in enumerate(names)
-    }
-    nxt = 0
-    while len(active) > 3:
-        k = len(active)
-        tot = {u: sum(dmat[u, v] for v in active if v != u) for u in active}
-        best = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                u, v = active[i], active[j]
-                q = (k - 2) * dmat[u, v] - tot[u] - tot[v]
-                if best is None or q < best[0] - 1e-12:
-                    best = (q, u, v)
-        _, u, v = best
-        h = hidden[nxt]
-        nxt += 1
-        edges += [(h, u), (h, v)]
-        duv = dmat[u, v]
-        for w in active:
-            if w in (u, v):
-                continue
-            dmat[h, w] = dmat[w, h] = 0.5 * (
-                dmat[u, w] + dmat[v, w] - duv
-            )
-        dmat[h, h] = 0.0
-        active = [w for w in active if w not in (u, v)] + [h]
-    h = hidden[nxt]
-    edges += [(h, w) for w in active]
-
-    tree = build_forest(nodes, edges)
-    return _nni_pass(tree, stats, config or EmConfig())
-
-
-def _nni_pass(tree: Forest, stats: SufficientStats, cfg: EmConfig) -> Forest:
-    """One sweep of nearest neighbor interchanges, keeping improvements."""
-    best_ll = em_fit(tree, stats, cfg).loglik
-    internal = [e for e in tree.edges if all(v in tree.latent for v in e)]
-    for e in internal:
-        x, y = sorted(e)
-        nbx = [w for w in tree.neighbors[x] if w != y]
-        nby = [w for w in tree.neighbors[y] if w != x]
-        if len(nbx) != 2 or len(nby) != 2:
-            continue
-        step = None
-        for swap in (0, 1):
-            a, b = nbx[1], nby[swap]
-            new_edges = []
-            for u, v in [tuple(sorted(ed)) for ed in tree.edges]:
-                pair = {u, v}
-                if pair == {x, a}:
-                    new_edges.append((x, b))
-                elif pair == {y, b}:
-                    new_edges.append((y, a))
-                else:
-                    new_edges.append((u, v))
-            cand = build_forest(
-                [(v, v in tree.latent) for v in tree.nodes], new_edges
-            )
-            ll = em_fit(cand, stats, cfg).loglik
-            if ll > best_ll + 1e-7 and (step is None or ll > step[0]):
-                step = (ll, cand)
-        if step is not None:
-            best_ll, tree = step
-    return tree
 
 
 # --------------------------------------------------------------------------
@@ -489,8 +376,7 @@ def pruned_chain(
     # score the chain as a totally ordered lattice, bottom up
     size = len(chain)
     lat = ModelLattice(host_f, tuple(masks[::-1]))
-    up = fits[::-1]
-    scored = sbic_all(lat, up, n, params=[f.params for f in up])
+    scored = sbic_all(lat, fits[::-1], n)
     table = ScoreTable(
         n=n,
         rows=tuple(

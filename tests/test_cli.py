@@ -463,6 +463,36 @@ class TestErrors:
         assert "ragged rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--restarts", "0"], "restarts"),
+            (["--restarts", "-3"], "restarts"),
+            (["--max-iter", "0"], "max_iter"),
+            (["--max-iter", "-1"], "max_iter"),
+            (["--tol", "nan"], "rel_tol"),
+            (["--tol", "-0.5"], "rel_tol"),
+            (["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_em_flags(self, star_files, tmp_path, capsys, flags, field):
+        forest, data = star_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "lattice5", "n_values": [50],
+                                   "replicates": 1}))
+        for argv in (["fit", "--forest", forest, "--data", data],
+                     ["select", "--tree", forest, "--data", data],
+                     ["simulate", "--config", str(cfg)]):
+            assert main(argv + flags) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err, err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "lattice5", "replicate": 1}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: replicate\n"
+
+    @pytest.mark.parametrize(
         "config",
         [
             {"kind": "lattice5", "replicates": 2.5, "n_values": [50]},
@@ -534,3 +564,17 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
         assert err["error"]["message"]
+
+
+class TestLazyScipy:
+    def test_lp_and_quadrature_load_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import latentforest, latentforest.cli\n"
+            "lazy = ('scipy.optimize', 'scipy.integrate')\n"
+            "print([m in sys.modules for m in lazy])\n"
+            "from latentforest import MonomialSos, rlct_monomial_sos\n"
+            "rlct_monomial_sos(MonomialSos(2, [((1, 1), 0.0)], [(0, 1)] * 2))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        assert run_python(["-c", script], 0) == "[False, False]\nTrue\n"

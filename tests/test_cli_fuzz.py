@@ -2,10 +2,11 @@
 
 Each example starts from small valid input files for one subcommand,
 mutates one of them (a JSON value replaced, deleted or retyped, a CSV
-cell, row or header changed, a file truncated) and runs the command in
-process, plain and with ``--json``.  A run must return 0, or return 1
-with an ``error:`` line or the JSON error document on stderr; an
-exception escaping ``main`` fails the test.
+cell, row or header changed, a file truncated) or, for the EM commands,
+one EM flag, and runs the command in process, plain and with
+``--json``.  A run must return 0, or return 1 with an ``error:`` line
+or the JSON error document on stderr; an exception escaping ``main``
+fails the test.
 """
 
 import contextlib
@@ -64,6 +65,15 @@ DEPTH = {"kind": "depth_comparison", "n_values": [50], "replicates": 1,
          "m": [4]}
 # every run stops EM early, so a mutated input stays cheap
 EM_FLAGS = ["--restarts", "1", "--max-iter", "15"]
+# values an EM flag may be given instead, appended after EM_FLAGS so
+# they override them: integer strings for the integer flags, so argparse
+# accepts them and EmConfig decides, and small, so no run grows long
+EM_MUTATIONS = {
+    "--restarts": ["-3", "-1", "0", "2"],
+    "--max-iter": ["-1", "0", "1", "3"],
+    "--tol": ["nan", "inf", "-inf", "-0.5", "0", "0.001"],
+    "--seed": ["-1", "0", "5"],
+}
 
 # (argv with {name} placeholders, the valid inputs by name)
 CASES = {
@@ -191,9 +201,14 @@ def _text(value) -> str:
 
 @st.composite
 def mutated_inputs(draw, name):
-    """The file texts of one case, with one input mutated."""
-    _, inputs = CASES[name]
+    """The file texts of one case and flags to append to its argv, with
+    one input or one EM flag mutated."""
+    argv, inputs = CASES[name]
     texts = {key: _text(value) for key, value in inputs.items()}
+    if "--restarts" in argv and draw(st.integers(0, 4)) == 0:
+        flag = draw(st.sampled_from(sorted(EM_MUTATIONS)))
+        # one --flag=value word, so argparse reads "-inf" as a value
+        return texts, [f"{flag}={draw(st.sampled_from(EM_MUTATIONS[flag]))}"]
     key = draw(st.sampled_from(sorted(inputs)))
     value = inputs[key]
     if draw(st.integers(0, 5)) == 0:
@@ -205,7 +220,7 @@ def mutated_inputs(draw, name):
         numbers = NUMBERS if key == "config" else NUMBERS | st.just(HUGE)
         doc = _mutate_json(draw, json.loads(texts[key]), numbers)
         texts[key] = json.dumps(doc)
-    return texts
+    return texts, []
 
 
 def _run(argv):
@@ -226,13 +241,14 @@ def test_mutated_inputs_end_cleanly(name):
 
     @settings(max_examples=EXAMPLES[name], deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(texts=mutated_inputs(name))
-    def check(texts):
+    @given(mutated=mutated_inputs(name))
+    def check(mutated):
+        texts, flags = mutated
         with tempfile.TemporaryDirectory() as tmp:
             paths = {key: str(Path(tmp, key)) for key in (*texts, "edges")}
             for key, text in texts.items():
                 Path(paths[key]).write_text(text)
-            argv = [a.format(**paths) for a in argv_template]
+            argv = [a.format(**paths) for a in argv_template] + flags
             code, _, err = _run(argv)
             assert code in (0, 1), (argv, err)
             if code == 1:

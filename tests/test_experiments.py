@@ -151,6 +151,15 @@ class TestConfig:
         assert cfg.n_values == (125,)
 
 
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError, match="unknown config keys: replicate"):
+            ExperimentConfig.from_json('{"kind": "lattice5", "replicate": 1}')
+
+    def test_negative_master_seed_refused(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig(kind="lattice5", master_seed=-1)
+
+
 class TestResultContainers:
     def result(self):
         cfg = ExperimentConfig(kind="lattice5", replicates=2)

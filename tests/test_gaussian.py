@@ -499,6 +499,30 @@ class TestPhaseFunction:
             h_q_monomials(quartet, cov, names=["1", "2", "3", "9"])
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"restarts": 0}, "restarts"),
+            ({"restarts": 2.0}, "restarts"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -1}, "max_iter"),
+            ({"rel_tol": math.nan}, "rel_tol"),
+            ({"rel_tol": math.inf}, "rel_tol"),
+            ({"rel_tol": -1e-9}, "rel_tol"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+        ],
+    )
+    def test_bad_settings_name_their_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            EmConfig(**kwargs)
+
+    def test_edges_of_the_ranges_accepted(self):
+        cfg = EmConfig(max_iter=1, rel_tol=0.0, restarts=1, seed=np.uint32(0))
+        assert replace(cfg, seed=2**32 - 1).seed == 2**32 - 1
+
+
 class TestEm:
     def test_step_monotone(self):
         rng = np.random.default_rng(9)

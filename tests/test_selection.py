@@ -15,7 +15,6 @@ from latentforest import (
     NotComparable,
     ScoreRow,
     ScoreTable,
-    TooFewLeaves,
     TooFewSamples,
     bic,
     build_forest,
@@ -23,7 +22,7 @@ from latentforest import (
     connected_observed_pairs,
     covariance,
     edge,
-    initial_tree,
+    em_fit,
     log_lprime,
     model_dimension,
     model_loglik,
@@ -244,6 +243,28 @@ class TestSbicSolver:
         bare = json.loads(sbic_all(lat, [f.loglik for f in fits], 99).to_json())
         assert all("iters" not in r and "converged" not in r for r in bare)
 
+    def test_fit_objects_pass_params(self):
+        lat = subforest_lattice(star3())
+        stats = suff_stats_from_cov(np.eye(3) + 0.5, 200, names=["1", "2", "3"])
+        cfg = EmConfig(restarts=1, max_iter=50)
+        fits = [em_fit(c, stats, cfg) for c in lat.classes]
+        table = sbic_all(lat, fits, stats.n)
+        assert all(r.params is f.params for r, f in zip(table.rows, fits))
+        bare = sbic_all(lat, [f.loglik for f in fits], stats.n)
+        assert all(r.params is None for r in bare.rows)
+        # params never reach the JSON: without the two fit fields, the
+        # rows of both tables are the same text
+        fitted = [{k: v for k, v in r.items() if k not in ("iters", "converged")}
+                  for r in json.loads(table.to_json())]
+        assert json.dumps(fitted) == bare.to_json()
+
+    def test_fit_less_json_row_pinned(self):
+        row = ScoreRow(3, "d", 3, -10.0, -6.0, -4.0)
+        assert ScoreTable(n=50, rows=(row,)).to_json() == (
+            '[{"index": 3, "code": "d", "dim": 3, "loglik": -10.0, '
+            '"bic": -6.0, "sbic": -4.0}]'
+        )
+
     def test_needs_two_samples(self):
         lat = subforest_lattice(star3())
         with pytest.raises(TooFewSamples, match="sBIC needs n >= 2"):
@@ -353,49 +374,6 @@ class TestExhaustive:
         for j in range(len(lat)):
             for i in lat.strictly_below(j):
                 assert table.rows[i].loglik <= table.rows[j].loglik + 1e-6
-
-
-class TestInitialTree:
-    def test_too_few_leaves(self):
-        with pytest.raises(TooFewLeaves):
-            initial_tree(suff_stats_from_cov(np.eye(2), 10, names=["1", "2"]))
-
-    def test_three_leaves_make_a_star(self):
-        cov = covariance(
-            star3(),
-            ModelParams(
-                leaf_var={"1": 1.0, "2": 1.0, "3": 1.0},
-                edge_corr={
-                    edge("h", "1"): 0.5,
-                    edge("h", "2"): 0.6,
-                    edge("h", "3"): 0.7,
-                },
-            ),
-        )
-        t = initial_tree(suff_stats_from_cov(cov, 1000, names=["1", "2", "3"]))
-        assert canonicalize(t).code == canonicalize(star3()).code
-
-    def test_quartet_topology_recovery(self):
-        host = quartet_tree()
-        cov = covariance(host, quartet_params())
-        stats = suff_stats_from_cov(cov, 10**5, names=host.observed)
-        t = initial_tree(stats, config=EmConfig(restarts=1, max_iter=500))
-        assert len(t.edges) == 5
-        assert all(t.degree(v) == 3 for v in t.latent)
-        assert canonicalize(t).code == canonicalize(host).code
-
-    def test_negative_correlations_ok(self):
-        # distances use |r|, so sign flips must not change the topology
-        host = quartet_tree()
-        p = quartet_params()
-        flipped = ModelParams(
-            leaf_var=p.leaf_var,
-            edge_corr={e: -c for e, c in p.edge_corr.items()},
-        )
-        cov = covariance(host, flipped)
-        stats = suff_stats_from_cov(cov, 10**5, names=host.observed)
-        t = initial_tree(stats, config=EmConfig(restarts=1, max_iter=500))
-        assert canonicalize(t).code == canonicalize(host).code
 
 
 class TestPrunedChain:
