@@ -88,9 +88,9 @@ def main(argv=None) -> int:
         rel = abs(est.lambda_hat - lam) / lam
         print(f"{name:>18}: lambda {lam:.3f} vs {est.lambda_hat:.3f} "
               f"(rel {rel:.1%}), mult {exact.mult} vs {est.mult_hat}, "
-              f"{dt:.1f}s")
+              f"{dt:.3f}s")
         w.writerow([name, lam, est.lambda_hat, rel,
-                    exact.mult, est.mult_hat, round(dt, 2)])
+                    exact.mult, est.mult_hat, round(dt, 4)])
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

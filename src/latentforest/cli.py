@@ -228,6 +228,40 @@ def _build_parser() -> _Parser:
     return p
 
 
+#: EM flags whose value is a number in the next word
+_NUMERIC_FLAGS = ("--seed", "--restarts", "--max-iter", "--tol")
+
+
+def _is_negative_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return word.startswith("-")
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """``--tol -1e-9`` as ``--tol=-1e-9``.
+
+    argparse takes a word that starts with "-" and is not a plain
+    decimal (-1e-9, -inf) for an option, and then finds the flag before
+    it without a value.  Joined to its flag, the number reaches the
+    config check, which reports the range error.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        word = argv[i]
+        if (word in _NUMERIC_FLAGS and i + 1 < len(argv)
+                and _is_negative_number(argv[i + 1])):
+            out.append(f"{word}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(word)
+            i += 1
+    return out
+
+
 def _fail(json_mode: bool, label: str, exc: Exception, kind: str) -> None:
     if json_mode:
         doc = {"error": {"type": kind, "message": str(exc)}}
@@ -239,7 +273,7 @@ def _fail(json_mode: bool, label: str, exc: Exception, kind: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_numbers(argv))
     except _Usage as exc:
         _fail("--json" in argv, "usage error", exc, "UsageError")
         return 2

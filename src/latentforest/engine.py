@@ -99,30 +99,44 @@ class MonomialSos:
         """H at one point ``(dim,)`` as a float, or at each row of an
         ``(N, dim)`` array as an array.
 
-        A monomial starts from its first factor and the sum from its
-        first square, so no array operation goes to a unit or a zero.
+        The sum starts from its first square, so no array operation goes
+        to a zero.
         """
         pts = np.asarray(w, dtype=float)
         if pts.ndim == 1:
             return float(self(pts[None])[0])
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(
-                f"points must have shape ({self.dim},) or (N, {self.dim})"
-            )
-        cols = [np.ascontiguousarray(pts[:, j]) for j in range(self.dim)]
         total = None
-        for u, c in self.terms:
-            mon = None
-            for j, e in enumerate(u):
-                if e:
-                    f = cols[j] if e == 1 else cols[j] ** e
-                    mon = f if mon is None else mon * f
+        for (_, c), mon in zip(self.terms, self.monomials(pts)):
             if mon is None:
                 sq = np.full(len(pts), (1.0 - c) ** 2)
             else:
                 sq = np.square(mon - c)
             total = sq if total is None else np.add(total, sq, out=total)
         return np.zeros(len(pts)) if total is None else total
+
+    def monomials(self, pts):
+        """w^u of each term at each row of an ``(N, dim)`` array, None
+        for a term with no variable, one term at a time.
+
+        A monomial starts from its first factor, so no array operation
+        goes to a unit.
+        """
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(
+                f"points must have shape ({self.dim},) or (N, {self.dim})"
+            )
+        cols = [np.ascontiguousarray(pts[:, j]) for j in range(self.dim)]
+
+        def monomial(u):
+            mon = None
+            for j, e in enumerate(u):
+                if e:
+                    f = cols[j] if e == 1 else cols[j] ** e
+                    mon = f if mon is None else mon * f
+            return mon
+
+        return (monomial(u) for u, _ in self.terms)
 
     def to_json(self) -> str:
         def end(x):

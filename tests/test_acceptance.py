@@ -8,7 +8,7 @@ The slow checks pin their seeds and budgets: the whole module runs in
 one to two minutes on a 2-core x86-64 VM, dominated by the
 100-replicate selection experiment (criterion 09, 45-70 s); the hull
 checks (criterion 06) take 9-16 s and the Laplace oracle (criterion
-10) 8-9 s.
+10) well under a second.
 """
 
 import math

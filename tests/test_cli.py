@@ -486,6 +486,26 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err, err
 
+    @pytest.mark.parametrize("value", ["-1e-9", "-1E-9", "-inf"])
+    def test_negative_float_flag_reaches_config(
+        self, star_files, tmp_path, capsys, value
+    ):
+        # argparse alone takes these words for options and exits 2
+        forest, data = star_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "lattice5", "n_values": [50],
+                                   "replicates": 1}))
+        for argv in (["fit", "--forest", forest, "--data", data],
+                     ["select", "--tree", forest, "--data", data],
+                     ["simulate", "--config", str(cfg)]):
+            assert main(argv + ["--tol", value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: rel_tol must be finite"), err
+            assert main(argv + ["--tol", value, "--json"]) == 1
+            doc = json.loads(capsys.readouterr().err)["error"]
+            assert doc["type"] == "ValueError", doc
+            assert doc["message"].startswith("rel_tol must be finite"), doc
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "lattice5", "replicate": 1}))
@@ -576,5 +596,13 @@ class TestLazyScipy:
             "from latentforest import MonomialSos, rlct_monomial_sos\n"
             "rlct_monomial_sos(MonomialSos(2, [((1, 1), 0.0)], [(0, 1)] * 2))\n"
             "print('scipy.optimize' in sys.modules)\n"
+            # the Laplace oracle integrates without scipy.integrate
+            "import numpy as np\n"
+            "from latentforest import build_forest, h_q_monomials\n"
+            "from latentforest import laplace_rlct_estimate\n"
+            "star = build_forest([('1', False), ('2', False), ('3', False),\n"
+            "                     ('h', True)], [('h', '1'), ('h', '2'), ('h', '3')])\n"
+            "laplace_rlct_estimate(h_q_monomials(star, np.eye(3)))\n"
+            "print('scipy.integrate' in sys.modules)\n"
         )
-        assert run_python(["-c", script], 0) == "[False, False]\nTrue\n"
+        assert run_python(["-c", script], 0) == "[False, False]\nTrue\nFalse\n"

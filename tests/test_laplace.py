@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -19,7 +21,7 @@ from latentforest import (
     rlct_monomial_sos,
 )
 from latentforest import laplace
-from latentforest.laplace import _blocks, _mc_points, _restrict
+from latentforest.laplace import _blocks, _line, _mc_points, _Reduced, _restrict
 
 GRID7 = tuple(int(round(v)) for v in np.geomspace(1e2, 1e5, 7))
 
@@ -34,6 +36,17 @@ def three_star_sos(scale=1.0):
         [("h", "1"), ("h", "2"), ("h", "3")],
     )
     return h_q_monomials(star, scale * np.eye(3))
+
+
+def mc_form(h):
+    """The largest block of h as a callable and its box.
+
+    Callables are never reduced, so a block of three or more
+    coordinates stays on the Monte Carlo path in this form.
+    """
+    coords = max(_blocks(list(h.terms), h.dim), key=len)
+    part = sos(_restrict(h.terms, coords), [h.domain[i] for i in coords])
+    return (lambda pts: part(pts)), part.domain
 
 
 def reference_mc_points(box, count, rng):
@@ -133,7 +146,12 @@ class TestSingularModels:
         h = sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3)
         r = rlct_monomial_sos(h)
         assert (float(r.lam), r.mult) == (1.0, 1)
+        # the monomial form is reduced to a 2-D quadrature
         est = laplace_rlct_estimate(h, n_grid=GRID7)
+        assert est.method == "quadrature"
+        assert est.lambda_hat == pytest.approx(1.0, rel=0.2)
+        fn, box = mc_form(h)
+        est = laplace_rlct_estimate(fn, domain=box, n_grid=GRID7)
         assert est.method == "monte_carlo"
         assert est.mc_std_err is not None
         assert est.lambda_hat == pytest.approx(1.0, rel=0.2)
@@ -187,14 +205,8 @@ class TestOffCentreWells:
         [
             ((37.3,), [(-50.0, 50.0)], 1e-9),
             ((37.3,), [(-500.0, 500.0)], 1e-9),
-            pytest.param(
-                (37.3, 0.31), [(-500.0, 500.0), (0.0, 1.0)], 1e-11,
-                marks=pytest.mark.slow,
-            ),
-            pytest.param(
-                (0.31, 37.3), [(0.0, 1.0), (-500.0, 500.0)], 1e-11,
-                marks=pytest.mark.slow,
-            ),
+            ((37.3, 0.31), [(-500.0, 500.0), (0.0, 1.0)], 1e-11),
+            ((0.31, 37.3), [(0.0, 1.0), (-500.0, 500.0)], 1e-11),
         ],
         ids=["1d-narrow", "1d-wide", "2d-wide-x", "2d-wide-y"],
     )
@@ -242,11 +254,14 @@ class TestFailurePaths:
             )
 
     def test_monte_carlo_underflow(self):
+        h = sos([((1, 1, 1), 30.0)], [(0.0, 1.0)] * 3)
+        fn, box = mc_form(h)
         match = r"Monte Carlo mass underflow at n=100 \(block \[0, 1, 2\]\)"
         with pytest.raises(IntegrationFailure, match=match):
-            laplace_rlct_estimate(
-                sos([((1, 1, 1), 30.0)], [(0.0, 1.0)] * 3), n_grid=GRID7
-            )
+            laplace_rlct_estimate(fn, domain=box, n_grid=GRID7)
+        match = r"quadrature underflow at n=100 \(block \[0, 1, 2\]\)"
+        with pytest.raises(IntegrationFailure, match=match):
+            laplace_rlct_estimate(h, n_grid=GRID7)
 
     def test_grid_validation(self):
         h = sos([((1,), 0.3)], [(0.0, 1.0)])
@@ -290,13 +305,13 @@ class TestInterfaces:
         assert np.allclose(a.log_z, b.log_z, atol=1e-8)
 
     def test_monte_carlo_seed_determinism(self):
-        h = sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3)
+        h, box = mc_form(sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3))
         cfg = LaplaceConfig(mc_points=10**4, seed=5)
-        a = laplace_rlct_estimate(h, n_grid=GRID7, cfg=cfg)
-        b = laplace_rlct_estimate(h, n_grid=GRID7, cfg=cfg)
+        a = laplace_rlct_estimate(h, box, n_grid=GRID7, cfg=cfg)
+        b = laplace_rlct_estimate(h, box, n_grid=GRID7, cfg=cfg)
         assert a.log_z == b.log_z
         c = laplace_rlct_estimate(
-            h, n_grid=GRID7, cfg=LaplaceConfig(mc_points=10**4, seed=6)
+            h, box, n_grid=GRID7, cfg=LaplaceConfig(mc_points=10**4, seed=6)
         )
         assert a.log_z != c.log_z
 
@@ -337,22 +352,26 @@ class TestMonteCarloOracle:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "h",
+        "h, box",
         [
-            three_star_sos(1.0),
-            three_star_sos(37.3),
-            sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3),
-            sos(
-                [((1, 1, 0, 0), 0.2), ((0, 1, 1, 0), 0.3), ((0, 0, 1, 1), 0.1)],
-                [(0.0, 1.0)] * 4,
+            mc_form(three_star_sos(1.0)),
+            mc_form(three_star_sos(37.3)),
+            mc_form(sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3)),
+            (
+                sos(
+                    [((1, 1, 0, 0), 0.2), ((0, 1, 1, 0), 0.3),
+                     ((0, 0, 1, 1), 0.1)],
+                    [(0.0, 1.0)] * 4,
+                ),
+                None,
             ),
         ],
         ids=["star-1", "star-37.3", "xyz-0.1", "chain-4d"],
     )
-    def test_estimate_matches_reference(self, h, monkeypatch):
-        got = laplace_rlct_estimate(h)
+    def test_estimate_matches_reference(self, h, box, monkeypatch):
+        got = laplace_rlct_estimate(h, box)
         monkeypatch.setattr(laplace, "_mc_block", reference_mc_block)
-        want = laplace_rlct_estimate(h)
+        want = laplace_rlct_estimate(h, box)
         assert got.method == want.method == "monte_carlo"
         assert np.allclose(got.log_z, want.log_z, rtol=0, atol=1e-14)
         assert got.mc_std_err == pytest.approx(want.mc_std_err, rel=1e-12)
@@ -373,7 +392,8 @@ class TestSharedBlocks:
                 ),
                 1,
             ),
-            (three_star_sos(1.0), 1),
+            # the three equal variance wells, then the reduced edge block
+            (three_star_sos(1.0), 2),
             (
                 sos(
                     [((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0)],
@@ -406,3 +426,161 @@ class TestSharedBlocks:
             )
             want += laplace_rlct_estimate(part).log_z
         assert got == tuple(want)
+
+
+def mp_quad_exp(n, phase, lo, hi, centres, scales):
+    """mpmath.quad of exp(-n phase(x)) over [lo, hi] at 30 digits, split
+    at each centre +- each scale times powers of 2, so every peak and
+    every steep end lies in short panels."""
+    with mpmath.workdps(30):
+        n, lo, hi = mpmath.mpf(n), mpmath.mpf(lo), mpmath.mpf(hi)
+        cuts = {lo, hi}
+        for centre in centres:
+            if lo < centre < hi:
+                cuts.add(mpmath.mpf(centre))
+            for sc in scales:
+                for k in range(-6, 90):
+                    for p in (centre - sc * 2**k, centre + sc * 2**k):
+                        if lo < p < hi:
+                            cuts.add(mpmath.mpf(p))
+        return mpmath.quad(lambda x: mpmath.exp(-n * phase(x)), sorted(cuts))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_window(n, h0, a, slope, length):
+    """mpmath.quad of exp(-n (h0 + slope u + a u^2)) over [0, length]."""
+    scales = [1 / math.sqrt(n * a)] if a else []
+    scales += [1 / (n * slope)] if slope else []
+    return mp_quad_exp(
+        n, lambda u: h0 + slope * u + a * u * u, 0.0, length, [0.0], scales
+    )
+
+
+LINE_GRID = np.geomspace(1e2, 1e12, 6)
+
+
+class TestClosedFormLine:
+    """The closed-form line integrals against mpmath.quad, to 1e-12.
+
+    ``_line`` is exp(-n h0) times the integral of exp(-n (slope u +
+    A u^2)) over [0, hi_len], plus that of exp(-n A u^2) over
+    [0, lo_len], for each n of the grid.
+    """
+
+    @pytest.mark.parametrize("big_a", [1.0, 3e-4, 1e-12, 1e-30, 0.0])
+    @pytest.mark.parametrize(
+        "slope",
+        # 1e-12 and 1e-6 put n * slope, the A -> 0 limit's rate, at order
+        # 1 on the grid
+        [0.0, 1e-12, 1e-6, 1e-2, 1.0, 37.0],
+    )
+    def test_line_matches_mpmath(self, big_a, slope):
+        # one call over rows of every kind, so each row also goes through
+        # the masks that pick out the others
+        rows = [
+            (h0, big_a, slope, hi_len, lo_len)
+            for hi_len, lo_len, h0 in [
+                (1.0, 0.0, 0.0), (1e-3, 0.0, 0.0), (250.0, 0.0, 1e-9),
+                (1.0, 0.4, 0.0), (250.0, 0.4, 1e-9), (1.0, 1.0, 0.0),
+            ]
+            if not (slope and lo_len)  # a second window has no slope
+        ] + [(0.0, 1.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0, 0.0)]
+        got = _line(*map(np.array, zip(*rows)), LINE_GRID)
+        for (h0, a, sl, hi_len, lo_len), vals in zip(rows, got):
+            for g, n in zip(vals, LINE_GRID):
+                if n * h0 >= 700:
+                    assert g == 0.0  # below exp(-700) counts as 0.0
+                    continue
+                want = mp_window(n, h0, a, sl, hi_len)
+                if lo_len:
+                    want += mp_window(n, h0, a, 0.0, lo_len)
+                assert abs(g / want - 1) <= 1e-12, (h0, a, sl, hi_len, lo_len, n)
+
+    @pytest.mark.parametrize(
+        "m, c, d, window",
+        [
+            (1.0, 0.3, 0.95, (0.0, 1.0)),  # vertex inside the window
+            (1.0, -0.5, 1.0, (0.0, 1.0)),  # window above the vertex
+            (1.0, 1.7, 1.0, (0.0, 1.0)),  # window below the vertex
+            (2.5, 0.2, 2.4999, (-3.0, 0.05)),  # vertex just outside
+            (1e-3, 2e-3, 1e-3, (0.0, 1.0)),  # far tail: vertex at 2
+            (1e-3, 1e-3, 1e-3, (-1.0, 1.0)),  # vertex at the end
+        ],
+        ids=["straddle", "above", "below", "edge", "far-tail", "at-end"],
+    )
+    def test_reduced_matches_mpmath(self, m, c, d, window):
+        # H(y, x) = (y x - c)^2 + (y - d)^2, integrated over x at y = m
+        h = sos([((1, 1), c), ((1, 0), d)], [(-5.0, 5.0), window])
+        got = _Reduced(h, 1)(np.array([[m]]), LINE_GRID)[0]
+        rest = (m - d) ** 2
+        lo, hi = window
+        low = rest if lo < c / m < hi else min(
+            (m * x - c) ** 2 + rest for x in window
+        )
+        for g, n in zip(got, LINE_GRID):
+            if n * low >= 700:
+                assert g == 0.0  # below exp(-700) counts as 0.0
+                continue
+            # the peak's width, and the decay length at each window end
+            slopes = [abs(2 * m * (m * x - c)) for x in window]
+            want = mp_quad_exp(
+                n, lambda x: (m * x - c) ** 2 + rest, *window,
+                [c / m, *window],
+                [1 / (m * math.sqrt(n))] + [1 / (n * s) for s in slopes if s],
+            )
+            assert abs(g / want - 1) <= 1e-12, n
+
+
+class TestReducedBlocks:
+    """Blocks that the closed form brings down to one coordinate."""
+
+    # log_z of the code at commit 881f72a, whose scipy quad_vec rule
+    # integrated these over the whole 2-D box (the hyperbola on GRID7,
+    # the others on the default grid)
+    PARENT_LOG_Z = {
+        "square": (
+            -1.2342015798446788, -1.5067071754467167, -1.7915886366867049,
+            -2.084989621594275, -2.3856953192518717, -2.6929576902823458,
+            -3.0055233416378115, -3.3228475083171976, -3.6443258858910976,
+            -3.9694495096154334, -4.297822169340728, -4.629104568179394,
+            -4.96300345060689,
+        ),
+        "two-leaf-path": (
+            -3.30834751886348, -4.346320956605089, -5.40044894194367,
+            -6.461720653607122, -7.5297529299989145, -8.604834030147437,
+            -9.684839466644704, -10.769675895839342, -11.85870114528299,
+            -12.951350727616365, -14.047249574750674, -15.1460627661335,
+            -16.247489761601912,
+        ),
+        "hyperbola": (
+            -1.3707379739723562, -1.9694050324706682, -2.551961715077751,
+            -3.1295652120062045, -3.705882138622476, -4.2817295146694505,
+            -4.857434672634003,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARENT_LOG_Z))
+    def test_matches_parent_quadrature(self, name):
+        path = build_forest(
+            [("1", False), ("2", False), ("a", True)],
+            [("a", "1"), ("a", "2")],
+        )
+        h, grid = {
+            "square": (sos([((1, 1), 0.0)], [(0.0, 1.0)] * 2), None),
+            "two-leaf-path": (h_q_monomials(path, np.eye(2)), None),
+            "hyperbola": (sos([((1, 1), 0.25)], [(0.0, 1.0)] * 2), GRID7),
+        }[name]
+        est = laplace_rlct_estimate(h, n_grid=grid)
+        assert est.method == "quadrature"
+        assert np.allclose(est.log_z, self.PARENT_LOG_Z[name], rtol=0, atol=1e-9)
+
+    def test_three_star_without_monte_carlo(self):
+        h = three_star_sos(1.0)
+        ests = [
+            laplace_rlct_estimate(h, cfg=LaplaceConfig(seed=s))
+            for s in (0, 1, 7)
+        ]
+        for est in ests:
+            assert est.method == "quadrature"
+            assert est.mc_std_err is None
+            assert est.log_z == ests[0].log_z
