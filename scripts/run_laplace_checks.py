@@ -5,7 +5,8 @@ Each benchmark pairs a phase function with its closed-form (lambda, mult):
 two monomial systems fed straight to the polyhedral engine, and the
 identity-q phase functions of the two-leaf path and the three-star,
 whose targets come from the forest-pair formula.  Prints one line per
-benchmark and writes laplace.csv into --outdir.
+benchmark and writes laplace.csv into --outdir; its ``stopped_short``
+column says whether an adaptive quadrature rule ran out of budget.
 """
 
 import argparse
@@ -79,18 +80,19 @@ def main(argv=None) -> int:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["benchmark", "lambda", "lambda_hat", "rel_err",
-                "mult", "mult_hat", "seconds"])
+                "mult", "mult_hat", "stopped_short", "seconds"])
     for name, h, exact in _benchmarks():
         t0 = time.time()
         est = laplace_rlct_estimate(h, n_grid=n_grid)
         dt = time.time() - t0
         lam = float(exact.lam)
         rel = abs(est.lambda_hat - lam) / lam
+        short = ", stopped short" if est.stopped_short else ""
         print(f"{name:>18}: lambda {lam:.3f} vs {est.lambda_hat:.3f} "
               f"(rel {rel:.1%}), mult {exact.mult} vs {est.mult_hat}, "
-              f"{dt:.3f}s")
-        w.writerow([name, lam, est.lambda_hat, rel,
-                    exact.mult, est.mult_hat, round(dt, 4)])
+              f"{dt:.3f}s{short}")
+        w.writerow([name, lam, est.lambda_hat, rel, exact.mult,
+                    est.mult_hat, est.stopped_short, round(dt, 4)])
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

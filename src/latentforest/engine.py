@@ -14,9 +14,9 @@ Its RLCT splits into two independent parts:
     codimension of the face where t*(1,...,1) first enters.
 
 Neither number needs the facet list.  ``polyhedra.one_distance_lp``
-reads t and that face off three linear programs and proves both in
-rational arithmetic; a failed proof raises CertificateFailure, never a
-float-derived answer.  The exact hull (``newton_facets`` with
+reads t and that face off one linear program, a strictly complementary
+primal-dual pair, and proves both in rational arithmetic; a failed
+proof raises CertificateFailure, never a float-derived answer.  The exact hull (``newton_facets`` with
 ``one_distance_mult``) is the oracle the tests check it against.
 """
 

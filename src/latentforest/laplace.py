@@ -36,7 +36,9 @@ independent errors.  An estimate reports ``method`` "monte_carlo" when
 any block was sampled, with ``mc_std_err`` the worst relative standard
 error of a sampled block value; otherwise ``method`` is "quadrature"
 (closed form and numeric quadrature alike), ``mc_std_err`` is None, and
-the result does not depend on the seed.
+the result does not depend on the seed.  ``stopped_short`` says whether
+an adaptive rule ran out of stages or points before every panel met its
+tolerance.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ _SQRT_PI_2 = math.sqrt(math.pi) / 2
 # 1.0 in double precision from _ERF_ONE on
 _UNDERFLOW = 700.0
 _ERF_ONE = 6.0
+# exp(x) itself is exactly 0.0 for x <= _EXP_ZERO (the log of half the
+# least subnormal)
+_EXP_ZERO = -1075 * math.log(2.0)
 # points per slab of the line integrals, small enough to stay in cache
 _CHUNK = 4096
 # a panel is accepted once |K15 - G7| is at most _TOL of its row's
@@ -126,6 +131,9 @@ class LaplaceEstimate:
     "quadrature" (closed form and numeric quadrature alike).
     ``mc_std_err`` is the worst relative standard error of any Monte
     Carlo block value entering the regression (None for quadrature).
+    ``stopped_short`` is True when an adaptive quadrature rule hit its
+    stage or point budget with panels still above its error tolerance,
+    so some block value is less accurate than the rule aims for.
     """
 
     lambda_hat: float
@@ -136,6 +144,7 @@ class LaplaceEstimate:
     log_z: tuple[float, ...]
     rss_by_mult: tuple[tuple[int, float], ...]
     mc_std_err: float | None = None
+    stopped_short: bool = False
 
     def __post_init__(self):
         if self.lambda_hat < 0:
@@ -425,7 +434,8 @@ def _adapt(f, ends, rows: int, cost: int = 1):
     estimate: after _MAX_STAGES stages, or when the next stage would
     evaluate more than _MAX_POINTS points, each of which costs ``cost``
     points inside f.  A NaN never asks for more.  Returns a (rows, G)
-    array.
+    array, and whether the rule stopped short with panels still over
+    _TOL.
     """
     nb = len(ends) - 1
     a = np.tile(ends[:-1], rows)
@@ -442,9 +452,11 @@ def _adapt(f, ends, rows: int, cost: int = 1):
         err = np.abs(kg[:, 0] - kg[:, 1]) * half[:, None]
         est = done + _row_sums(r, kr, rows)
         split = (err > _TOL * est[r]).any(axis=1)
-        if (not split.any() or stage == _MAX_STAGES - 1
+        if not split.any():
+            return est, False
+        if (stage == _MAX_STAGES - 1
                 or 2 * split.sum() * len(_GK_X) * cost > _MAX_POINTS):
-            return est
+            return est, True
         done = done + _row_sums(r[~split], kr[~split], rows)
         a, b, r, mid = a[split], b[split], r[split], mid[split]
         a = np.column_stack([a, mid]).ravel()
@@ -465,8 +477,9 @@ class _Plain:
         return self.h(pts)
 
 
-def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
-    """exp(-n h) integrated over the box, for each n in ns.
+def _quad_block(h, box, ns: np.ndarray) -> tuple[np.ndarray, bool]:
+    """exp(-n h) integrated over the box, for each n in ns, and whether
+    an adaptive rule stopped short.
 
     A monomial block with a coordinate of exponent at most 1 is first
     reduced by one coordinate in closed form (``_Reduced``); the rest,
@@ -477,7 +490,7 @@ def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
     j = _linear_coord(h) if isinstance(h, MonomialSos) else None
     f = _Reduced(h, j) if j is not None else _Plain(h, box)
     if not f.box:
-        return f(np.empty((1, 0)), ns)[0]
+        return f(np.empty((1, 0)), ns)[0], False
     top = float(ns[-1])
     width = 1.0 / math.sqrt(top)
     if len(f.box) == 1:
@@ -488,7 +501,8 @@ def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
             return f.phase(v[:, None], top)
 
         ends = _axis_breaks(line, xs, line(xs), width)
-        return _adapt(lambda r, v: f(v[:, None], ns), ends, 1)[0]
+        est, short = _adapt(lambda r, v: f(v[:, None], ns), ends, 1)
+        return est[0], short
 
     (xlo, xhi), (ylo, yhi) = f.box
     xs = np.linspace(xlo, xhi, _SCAN[1])
@@ -511,19 +525,24 @@ def _quad_block(h, box, ns: np.ndarray) -> np.ndarray:
 
     row_cost = (len(y_ends) - 1) * len(_GK_X)  # points of a row's first stage
     batch = max(1, _MAX_POINTS // row_cost)
+    short = False
 
     def rows(_, u):
         # rows go in batches whose first stage stays within _MAX_POINTS;
         # a block's first stage of rows is one batch unless it is large
-        return np.concatenate([
-            _adapt(
+        nonlocal short
+        out = []
+        for part in np.array_split(u, -(-len(u) // batch)):
+            est, part_short = _adapt(
                 lambda r, v: f(np.column_stack([part[r], v]), ns),
                 y_ends, len(part),
             )
-            for part in np.array_split(u, -(-len(u) // batch))
-        ])
+            out.append(est)
+            short |= part_short
+        return np.concatenate(out)
 
-    return _adapt(rows, x_ends, 1, row_cost)[0]
+    est, outer_short = _adapt(rows, x_ends, 1, row_cost)
+    return est[0], short or outer_short
 
 
 def _mc_points(box, count: int, rng) -> np.ndarray:
@@ -560,10 +579,13 @@ def _mc_points(box, count: int, rng) -> np.ndarray:
 def _mc_block(h, box, ns: np.ndarray, count: int, rng):
     """Monte Carlo exp(-n h) over box for each n in ns, with relative errors.
 
-    Both arrays are 0.0 from the first n whose mass underflows.  ns
-    increases, so a point whose weight is exactly 0.0 at one n stays 0.0
-    at every larger n: only the points that still carry weight go on to
-    the next n.  The mean still divides by every point, and each dropped
+    Both arrays are 0.0 from the first n whose mass underflows.  As in
+    ``_weights``, a weight below exp(-700) counts as 0.0, which keeps
+    numpy's exp off its slow subnormal path; each such weight is far
+    below the last bit of the sums it enters.  ns increases, so a point
+    whose weight exp(-n h) is exactly 0.0 in double precision at one n
+    stays 0.0 at every larger n: only the other points go on to the
+    next n.  The mean still divides by every point, and each dropped
     point adds its (0 - mean)^2 to the variance.
     """
     live = h(_mc_points(box, count, rng))
@@ -573,11 +595,14 @@ def _mc_block(h, box, ns: np.ndarray, count: int, rng):
     se = np.zeros(len(ns))
     for gi, n in enumerate(ns):
         w = np.multiply(live, -n)
+        keep = w > _EXP_ZERO
+        dead = w <= -_UNDERFLOW
+        np.maximum(w, -_UNDERFLOW, out=w)
         np.exp(w, out=w)
+        w[dead] = 0.0
         mean = float(w.sum()) / total
         if mean <= 0.0:
             break
-        keep = w != 0.0
         w -= mean
         var = (float(w @ w) + (total - live.size) * mean * mean) / total
         se[gi] = math.sqrt(var) / math.sqrt(total) / mean
@@ -632,7 +657,7 @@ def laplace_rlct_estimate(
     rng = np.random.default_rng(cfg.seed)
     ns = np.asarray(grid, dtype=float)
     log_z = -ns * const
-    used_mc = False
+    used_mc = stopped_short = False
     worst_se = 0.0
     # quadrature values by block: equal sub-systems are integrated once
     shared: dict = {}
@@ -652,7 +677,8 @@ def laplace_rlct_estimate(
         if left <= QUAD_MAX_DIM:
             if hb not in shared:
                 shared[hb] = _quad_block(hb, sub_box, ns)
-            vals = shared[hb]
+            vals, short = shared[hb]
+            stopped_short |= short
             bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
             if bad.size:
                 raise IntegrationFailure(
@@ -695,4 +721,5 @@ def laplace_rlct_estimate(
         log_z=tuple(float(v) for v in log_z),
         rss_by_mult=tuple(rss_table),
         mc_std_err=worst_se if used_mc else None,
+        stopped_short=stopped_short,
     )

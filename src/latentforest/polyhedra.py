@@ -2,7 +2,7 @@
 
 The Newton polyhedron of a set of exponent vectors is
 ``conv(points) + R_{>=0}^d``.  ``one_distance_lp`` finds its 1-distance
-and multiplicity from linear programs and proves both in rational
+and multiplicity from one linear program and proves both in rational
 arithmetic; the RLCT engine uses it.  ``newton_facets`` lists every
 facet and is kept as its oracle.  Facets are computed exactly by the
 double description method applied to the homogenization cone
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -38,9 +39,7 @@ def _dot(a, b) -> int:
 
 
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     return v if g in (0, 1) else tuple(x // g for x in v)
 
 
@@ -200,31 +199,50 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _highs(c, a_ub, b_ub, a_eq, b_eq, bounds, what: str) -> np.ndarray:
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        raise CertificateFailure(f"{what} failed: {res.message}")
-    return res.x
+def _pivots(a) -> list[int]:
+    """Columns of a that Gram-Schmidt with column pivoting picks, up to
+    its numerical rank.  (scipy's pivoted QR adds 1 MB of LAPACK code to RSS.)"""
+    a, picked = a.copy(), []
+    tol = 1e-18 * np.square(a).sum(axis=0).max()
+    for _ in range(min(a.shape)):
+        norms = np.square(a).sum(axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        q = a[:, j] / np.sqrt(norms[j])
+        a -= np.outer(q, q @ a)
+        picked.append(j)
+    return picked
 
 
-def _exact_solution(rows, rhs, guess) -> list[Fraction] | None:
-    """A rational solution of rows . x = rhs near the float guess.
+def _exact_solution(rows, guess) -> list[int] | None:
+    """An integer solution of rows . x = 0 near a positive multiple of
+    the float guess.
 
-    rows and rhs are integers.  Each free variable takes its guess
-    rounded by ``limit_denominator``, and each pivot variable the value
-    that then solves the system exactly.  Returns None when the system
-    is inconsistent.
+    rows are integers.  Floats choose a basis: r columns and then r
+    independent rows of them (``_pivots``, r the numerical rank).  Every
+    other column takes its guess times 2**24, rounded; the system is
+    homogeneous, so the scale is immaterial.  The basis columns take the
+    values that then solve the chosen rows exactly, and the common
+    denominator is cleared.  Returns None when the chosen basis is
+    singular or the solution misses a row.
     """
-    n = len(guess)
-    mat, pivots = _echelon([(*r, b) for r, b in zip(rows, rhs)])
-    if n in pivots:
+    mat = np.array(rows, dtype=float)
+    basis = sorted(_pivots(mat))
+    keep = sorted(_pivots(mat[:, basis].T))
+    x = [round(g * 2**24) for g in guess]
+    for j in basis:
+        x[j] = 0
+    sub = [[rows[i][j] for j in basis] + [sum(map(mul, rows[i], x))] for i in keep]
+    mat, pivots = _echelon(sub)
+    if pivots != list(range(len(basis))):
         return None
-    x = [Fraction(float(g)).limit_denominator() for g in guess]
-    free = [j for j in range(n) if j not in pivots]
-    for row, col in zip(mat, pivots):
-        x[col] = Fraction(row[n] - sum(row[j] * x[j] for j in free if row[j]),
-                          row[col])
+    den = lcm(*(row[col] for row, col in zip(mat, pivots)))
+    x = [v * den for v in x]
+    for row, col, j in zip(mat, pivots, basis):
+        x[j] = -row[-1] * (den // row[col])
+    if any(sum(map(mul, row, x)) for row in rows):
+        return None
     return x
 
 
@@ -233,92 +251,71 @@ def one_distance_lp(zero_terms, ambient_dim: int) -> tuple[Fraction, int]:
 
     Returns the smallest t with t*(1,...,1) in the Newton polyhedron P,
     and the codimension of the minimal face F of P containing t*1.
-    Three HiGHS solves give floats: t (LP 1); the generators I and
-    axes J of F, as the maximal support of t*1 = sum lam_i u_i + s with
-    lam in the simplex and s >= 0 (LP 2); and a normal a of F that is
-    strict off I and J (LP 3).  Exact elimination turns them into
-    rationals, which must satisfy
+    One HiGHS solve gives floats: a strictly complementary optimal pair
+    (Goldman and Tucker) of max sum mu s.t. U^T mu + s = 1 and its dual
+    min sum a s.t. U a >= 1, homogenized by tau.  The generators I with
+    mu_i > 0 and the axes J with s_j > 0 span F, a is a normal of F,
+    and t = tau / sum mu.  Exact elimination turns them into rationals,
+    which must satisfy
 
-      (i)  lam_I > 0, s_J > 0 and tau > 0, with sum lam = tau and
-           sum lam_i u_i + sum s_j e_j = tau*t*1: t*1 lies in the
+      (i)  lam_I > 0, s_J > 0 and sigma > 0, with sum lam = sigma and
+           sum lam_i u_i + sum s_j e_j = sigma*t*1: t*1 lies in the
            relative interior of F = conv{u_i : i in I} + cone{e_j : j in J};
       (ii) a_j = 0 on J and a_j > 0 off J; a . u_i = t*sum(a) on I and
            a . u_i > t*sum(a) off I: F is the face of P on which a is
            smallest, and t is minimal.
 
     The multiplicity is then d - dim F.  Raises CertificateFailure when
-    an LP fails or a check does not hold, so no answer rests on floats.
+    the LP fails or a check does not hold, so no answer rests on floats.
     """
     gens = _generators(zero_terms, ambient_dim)
     if not gens:
         raise ValueError("no exponent vectors")
     d, k = ambient_dim, len(gens)
-    n = k + d
     u = np.array(gens, dtype=float).reshape(k, d)
-    ones, eye = np.ones((d, 1)), np.eye(d)
 
-    # LP 1 over (lam, s, t): minimize t with U^T lam + s = t*1, sum lam = 1
-    simplex = np.hstack([np.ones((1, k)), np.zeros((1, d + 1))])
-    x = _highs(np.r_[np.zeros(n), 1.0], None, None,
-               np.vstack([np.hstack([u.T, eye, -ones]), simplex]),
-               np.r_[np.zeros(d), 1.0], [(0, None)] * (n + 1), "LP 1")
-    t_lp = x[-1]
+    # feasibility over x = (mu, s, a, r, tau) >= 0: U^T mu + s = tau*1,
+    # U a - r = tau*1, sum mu = sum a (no duality gap), and mu + r >= 1,
+    # s + a >= 1 (strict complementarity).  A zero generator forces
+    # tau = 0, and then t = 0.
+    z, e_d, e_k, o_d, o_k = np.zeros, np.eye(d), np.eye(k), np.ones(d), np.ones(k)
+    a_eq = np.block([
+        [u.T, e_d, z((d, d + k)), -o_d[:, None]],
+        [z((k, k + d)), u, -e_k, -o_k[:, None]],
+        [o_k, z(d), -o_d, z(k + 1)],
+    ])
+    a_ub = -np.block([[e_k, z((k, 2 * d)), e_k, z((k, 1))],
+                      [z((d, k)), e_d, e_d, z((d, k + 1))]])
+    res = linprog(z(2 * (k + d) + 1), A_ub=a_ub, b_ub=-np.r_[o_k, o_d],
+                  A_eq=a_eq, b_eq=z(d + k + 1), method="highs")
+    if res.status != 0:
+        raise CertificateFailure(f"the certificate LP failed: {res.message}")
+    mu, s, a, _, tau = np.split(res.x, np.cumsum([k, d, d, k]))
+    in_i, off_i = np.flatnonzero(mu > 0.5).tolist(), np.flatnonzero(mu <= 0.5).tolist()
+    in_j, off_j = np.flatnonzero(s > 0.5).tolist(), np.flatnonzero(s <= 0.5).tolist()
 
-    # LP 2 over (lam, s, tau, z): the same point scaled by tau >= 1, with
-    # z <= min(1, (lam, s)); maximizing sum z puts z = 1 on the support.
-    # tau is capped: a t_lp above the true t by delta would let tau = 1/delta
-    # put every axis in the support (tau is below 2000 up to m = 20 leaves)
-    a_eq = np.hstack([np.vstack([np.hstack([u.T, eye, -t_lp * ones]), simplex]),
-                      np.zeros((d + 1, n))])
-    a_eq[d, n] = -1.0  # sum lam = tau
-    x = _highs(np.r_[np.zeros(n + 1), -np.ones(n)],
-               np.hstack([-np.eye(n), np.zeros((n, 1)), np.eye(n)]), np.zeros(n),
-               a_eq, np.zeros(d + 1),
-               [(0, None)] * n + [(1, 1e9)] + [(0, 1)] * n, "LP 2")
-    in_i = [i for i in range(k) if x[n + 1 + i] > 0.5]
-    in_j = [j for j in range(d) if x[n + 1 + k + j] > 0.5]
-
-    # (i) over (lam_I, s_J, tau, tau*t), scaled as LP 2 left them: every
-    # support entry is at least 1 there, so rounding cannot zero it
+    # (i) over (lam_I, s_J, sigma, sigma*t), seeded by (mu_I, s_J, sum mu_I,
+    # tau): every support entry is at least 1 there
     rows = [[gens[i][c] for i in in_i] + [int(j == c) for j in in_j] + [0, -1]
             for c in range(d)]
     rows.append([1] * len(in_i) + [0] * len(in_j) + [-1, 0])
-    guess = [x[i] for i in in_i] + [x[k + j] for j in in_j] + [x[n], x[n] * t_lp]
-    sol = _exact_solution(rows, [0] * (d + 1), guess)
+    guess = [mu[i] for i in in_i] + [s[j] for j in in_j] + [mu[in_i].sum(), tau[0]]
+    sol = _exact_solution(rows, guess)
     if sol is None or any(y <= 0 for y in sol[:-1]):
         raise CertificateFailure("t*1 is not interior to the support found")
-    t = sol[-1] / sol[-2]
-
-    # LP 3 over (a, w): a . (u_i - t*1) = 0 on I and >= w off I, a_j = 0
-    # on J and >= w off J, sum a >= 1, w in [0, 1]; maximize sum w
-    off_i = [i for i in range(k) if i not in in_i]
-    off_j = [j for j in range(d) if j not in in_j]
-    v = u - float(t)
-    nw = len(off_i) + len(off_j)
-    w_eye = np.eye(nw)
-    a_ub = np.vstack([
-        np.hstack([-v[off_i], w_eye[:len(off_i)]]),
-        np.hstack([-eye[off_j], w_eye[len(off_i):]]),
-        np.r_[-np.ones(d), np.zeros(nw)][None, :],
-    ])
-    x = _highs(np.r_[np.zeros(d), -np.ones(nw)],
-               a_ub, np.r_[np.zeros(nw), -1.0],
-               np.hstack([v[in_i], np.zeros((len(in_i), nw))]), np.zeros(len(in_i)),
-               [(0, 0) if j in in_j else (0, None) for j in range(d)]
-               + [(0, 1)] * nw, "LP 3")
+    t = Fraction(sol[-1], sol[-2])
 
     # (ii) over a_j, j off J
     p, q = t.numerator, t.denominator
     rows = [[q * gens[i][c] - p for c in off_j] for i in in_i]
-    sol = _exact_solution(rows, [0] * len(in_i), [x[c] for c in off_j])
-    if not off_j or sol is None or any(y <= 0 for y in sol):
+    sol = _exact_solution(rows, [a[c] for c in off_j]) if off_j else None
+    if sol is None or any(y <= 0 for y in sol):
         raise CertificateFailure("no normal is positive off the axes found")
-    a = dict(zip(off_j, sol))
-    if any(sum((g[c] - t) * ac for c, ac in a.items()) <= 0
-           for g in (gens[i] for i in off_i)):
+    if any(q * sum(gens[i][c] * ac for c, ac in zip(off_j, sol)) <= p * sum(sol)
+           for i in off_i):
         raise CertificateFailure("the normal found is not strict off the face")
 
     # dim F = |J| + rank of {u_i - u_i0 : i in I} off the axes J
     u0 = gens[in_i[0]]
     span = [[gens[i][c] - u0[c] for c in off_j] for i in in_i[1:]]
-    return t, d - len(in_j) - rational_rank(span)
+    return t, d - len(in_j) - len(_echelon(span)[1])

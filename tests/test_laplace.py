@@ -330,6 +330,50 @@ class TestInterfaces:
         assert len(est.residuals) == len(GRID7)
         assert dict(est.rss_by_mult).keys() == {1, 2, 3, 4}
         assert est.mc_std_err is None
+        assert est.stopped_short is False
+
+
+class TestStoppedShort:
+    """``stopped_short`` says when an adaptive rule ran out of budget."""
+
+    def test_noise_stops_short(self):
+        # uniform noise never meets the panel tolerance
+        rng = np.random.default_rng(0)
+        est = laplace_rlct_estimate(
+            lambda pts: rng.uniform(0.0, 0.01, len(pts)),
+            domain=[(0.0, 1.0)] * 2,
+        )
+        assert est.method == "quadrature"
+        assert est.stopped_short
+
+    @pytest.mark.parametrize(
+        "name", ["three-star", "square", "two-leaf-path", "2d-wide-x"]
+    )
+    def test_converged_rules(self, name):
+        path = build_forest(
+            [("1", False), ("2", False), ("a", True)],
+            [("a", "1"), ("a", "2")],
+        )
+        centre = np.array((37.3, 0.31))
+        h, box = {
+            "three-star": (three_star_sos(1.0), None),
+            "square": (sos([((1, 1), 0.0)], [(0.0, 1.0)] * 2), None),
+            "two-leaf-path": (h_q_monomials(path, np.eye(2)), None),
+            # TestOffCentreWells[2d-wide-x]
+            "2d-wide-x": (
+                lambda pts: ((pts - centre) ** 2).sum(axis=1),
+                [(-500.0, 500.0), (0.0, 1.0)],
+            ),
+        }[name]
+        assert not laplace_rlct_estimate(h, box).stopped_short
+
+    def test_monte_carlo_never_stops_short(self):
+        fn, box = mc_form(sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3))
+        est = laplace_rlct_estimate(
+            fn, box, n_grid=GRID7, cfg=LaplaceConfig(mc_points=10**4)
+        )
+        assert est.method == "monte_carlo"
+        assert not est.stopped_short
 
 
 class TestMonteCarloOracle:

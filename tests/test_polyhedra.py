@@ -291,52 +291,59 @@ def hull_distance_mult(gens, d):
     return one_distance_mult(newton_facets(gens, d))
 
 
-def perturb_linprog(monkeypatch, call, change):
-    """Make the call-th linprog call in polyhedra return change(c, x)
-    in place of its solution x; c is the cost vector."""
+def perturb_linprog(monkeypatch, gens, d, change):
+    """Make linprog in polyhedra hand change(blocks) its solution x before
+    returning it.  blocks holds writable views of the certificate LP's
+    variables x = (mu, s, a, r, tau), keyed by name, for the k distinct
+    generators of gens in dimension d.  Returns the list of calls."""
+    k = len(set(map(tuple, gens)))
     calls = []
 
-    def fake(c, *args, **kwargs):
-        res = linprog(c, *args, **kwargs)
-        calls.append(c)
-        if len(calls) == call:
-            res.x = change(np.asarray(c), res.x.copy())
+    def fake(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        calls.append(res)
+        x = res.x.copy()
+        cuts = np.cumsum([k, d, d, k])
+        change(dict(zip(["mu", "s", "a", "r", "tau"], np.split(x, cuts))))
+        res.x = x
         return res
 
     monkeypatch.setattr(polyhedra, "linprog", fake)
     return calls
 
 
-def only_middle_in_support(c, x):
-    z = np.flatnonzero(c < 0)  # LP 2 maximizes the z of the support
-    x[z] = 0.0
-    x[z[1]] = 1.0
-    return x
+def origin_claimed(b):
+    # t*1 = s alone: the claim that t = 0, below the true t = 1
+    b["mu"][:] = 0.0
+    b["s"][:] = 1.0
+    b["tau"][:] = 0.0
 
 
-def scaled(factor):
-    def change(c, x):
-        x[-1] *= factor
-        return x
-    return change
+def only_middle_in_support(b):
+    b["mu"][:] = 0.0
+    b["mu"][1] = 1.0
 
 
-def first_axis_in_support(c, x):
-    x[np.flatnonzero(c < 0)[1]] = 1.0  # after one generator's z
-    return x
+def first_axis_in_support(b):
+    b["s"][0] = 1.0
 
 
-def all_in_support(c, x):
-    x[c < 0] = 1.0
-    return x
+def all_in_support(b):
+    b["mu"][:] = 1.0
+    b["s"][:] = 1.0
 
 
-def negated(c, x):
-    return -x
+def normal_negated(b):
+    b["a"][:] *= -1.0
 
 
 class TestOneDistanceLp:
-    @pytest.mark.parametrize("gens,d", ENGINE_TEST_SYSTEMS + [(COLLINEAR, 2)])
+    @pytest.mark.parametrize(
+        "gens,d",
+        ENGINE_TEST_SYSTEMS + [(COLLINEAR, 2)]
+        # a zero generator puts the origin in P: t = 0 and mult d
+        + [([(0, 0)], 2), ([(0, 0), (1, 1)], 2)],
+    )
     def test_engine_test_systems_match_hull(self, gens, d):
         assert one_distance_lp(gens, d) == hull_distance_mult(gens, d)
 
@@ -348,7 +355,7 @@ class TestOneDistanceLp:
         assert one_distance_lp(gens, sos.dim) == hull_distance_mult(gens, sos.dim)
         assert one_distance_lp(gens, sos.dim) == (Fraction(2, m), 1 + k)
 
-    @pytest.mark.parametrize("m,k", [(10, 0), (12, 0), (16, 0), (12, 2)])
+    @pytest.mark.parametrize("m,k", [(10, 0), (12, 0), (16, 0), (24, 0), (12, 2)])
     def test_beyond_hull_reach(self, m, k):
         sos = trivalent_zero_part(m, m, k)
         assert sos.dim > polyhedra.HULL_DIM_BOUND
@@ -372,25 +379,32 @@ class TestOneDistanceLp:
             one_distance_lp([(1, 1)], 3)
 
     @pytest.mark.parametrize(
-        "gens,call,change",
-        [(COLLINEAR, 1, scaled(0.9)),
-         (COLLINEAR, 2, only_middle_in_support),
-         (COLLINEAR, 2, all_in_support),
+        "gens,change",
+        [(COLLINEAR, origin_claimed),
+         (COLLINEAR, only_middle_in_support),
+         (COLLINEAR, all_in_support),
          # (1,1) + cone{e_1} is a face through 1*(1,1), but not the
          # minimal one: accepting s_1 = 0 would give mult 1, not 2
-         ([(1, 1)], 2, first_axis_in_support),
-         (COLLINEAR, 3, negated)],
+         ([(1, 1)], first_axis_in_support),
+         (COLLINEAR, normal_negated)],
         ids=["t-too-small", "support-too-small", "support-too-large",
              "axis-off-the-face", "normal-negated"],
     )
-    def test_perturbed_solution_raises(self, monkeypatch, gens, call, change):
-        calls = perturb_linprog(monkeypatch, call, change)
+    def test_perturbed_solution_raises(self, monkeypatch, gens, change):
+        calls = perturb_linprog(monkeypatch, gens, 2, change)
         with pytest.raises(CertificateFailure):
             one_distance_lp(gens, 2)
-        assert len(calls) >= call
+        assert len(calls) == 1
+
+    def test_one_linprog_call(self, monkeypatch):
+        sos = trivalent_zero_part(7, 5, 1)
+        gens = [u for u, _ in sos.terms]
+        calls = perturb_linprog(monkeypatch, gens, sos.dim, lambda b: None)
+        assert one_distance_lp(gens, sos.dim) == (Fraction(2, 7), 2)
+        assert len(calls) == 1
 
     def test_perturbed_engine_raises(self, monkeypatch):
-        perturb_linprog(monkeypatch, 2, only_middle_in_support)
+        perturb_linprog(monkeypatch, COLLINEAR, 2, only_middle_in_support)
         sos = MonomialSos(dim=2, terms=[(u, 0.0) for u in COLLINEAR],
                           domain=[(-1.0, 1.0)] * 2)
         with pytest.raises(CertificateFailure):
@@ -404,12 +418,12 @@ class TestOneDistanceLp:
                 break
             want = hull_distance_mult(gens, d)
 
-            def change(c, x):
-                x *= rng.uniform(0.5, 1.5, size=x.shape)
-                x[rng.random(x.shape) < 0.1] = 0.0
-                return x
+            def change(blocks):
+                for x in blocks.values():
+                    x *= rng.uniform(0.5, 1.5, size=x.shape)
+                    x[rng.random(x.shape) < 0.1] = 0.0
 
-            perturb_linprog(monkeypatch, int(rng.integers(1, 4)), change)
+            perturb_linprog(monkeypatch, gens, d, change)
             try:
                 got = one_distance_lp(gens, d)
             except CertificateFailure:
