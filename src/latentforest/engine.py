@@ -225,12 +225,13 @@ def split_parts(m: MonomialSos) -> PartSplit:
     )
 
 
-def _gf2_sign_solutions(rows: list[int], rhs: list[int], width: int):
-    """Solutions s in GF(2)^width of the system rows[i].s = rhs[i].
+def _gf2_reduce(rows: list[int], rhs: list[int], width: int):
+    """Row-reduce the GF(2) system rows[i].s = rhs[i] in width unknowns.
 
-    rows are column bitmasks.  Yields solutions as bitmasks; raises
-    EmptyFiber if the system is inconsistent and TooLarge if it leaves
-    more than 20 signs free.
+    rows are column bitmasks.  Returns ``(pivots, free)``: pivots maps
+    each pivot column to its reduced (row, rhs), a row whose highest
+    bit is that column, and free lists the other columns in increasing
+    order.  Raises EmptyFiber if the system is inconsistent.
     """
     pivots: dict[int, tuple[int, int]] = {}  # col -> reduced (row, rhs)
     for row, r in zip(rows, rhs):
@@ -244,7 +245,17 @@ def _gf2_sign_solutions(rows: list[int], rhs: list[int], width: int):
             continue
         col = row.bit_length() - 1
         pivots[col] = (row, r)
-    free = [c for c in range(width) if c not in pivots]
+    return pivots, [c for c in range(width) if c not in pivots]
+
+
+def _gf2_sign_solutions(rows: list[int], rhs: list[int], width: int):
+    """Solutions s in GF(2)^width of the system rows[i].s = rhs[i].
+
+    rows are column bitmasks.  Yields solutions as bitmasks; raises
+    EmptyFiber if the system is inconsistent and TooLarge if it leaves
+    more than 20 signs free.
+    """
+    pivots, free = _gf2_reduce(rows, rhs, width)
     if len(free) > 20:
         raise TooLarge(f"too many sign orthants to enumerate (2^{len(free)})")
     # a pivot row only involves columns below its own pivot, so back

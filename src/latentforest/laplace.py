@@ -9,8 +9,19 @@ approximate route that serves as an independent check on the exact
 polyhedral computations, not a replacement for them.
 
 Sum of squares systems are split into independent blocks of variables
-(no term couples two blocks), and blocks with equal terms and boxes are
-integrated once.  Each block takes one of three routes.
+(no term couples two blocks).  A monomial block is folded first, and
+folded blocks with equal terms and boxes are integrated once.
+
+* Fold.  Flipping the sign of a coordinate set F leaves a term
+  (w^u - c)^2 unchanged when c = 0 or when u has an even exponent sum
+  over F, and leaves the box unchanged when every window in F is
+  symmetric (lo == -hi).  Such flips form a group of order 2^k, as in a
+  latent tree whose edge signs at a latent node flip together, and
+  one orbit representative per point is kept by folding k windows to
+  [0, hi] (see ``_fold``); the block value is the folded integral
+  times 2^k, an exact scaling.  Callables are never folded.
+
+Each folded block then takes one of three routes.
 
 * Reduced.  In a monomial block, a coordinate whose exponent is at most
   1 in every term enters H as A x^2 - 2 B x + C, where A, B and C are
@@ -49,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .engine import MonomialSos
+from .engine import MonomialSos, _gf2_reduce
 from .errors import IntegrationFailure
 
 DEFAULT_N_GRID = tuple(
@@ -171,6 +182,27 @@ def _blocks(terms: list[tuple[tuple[int, ...], float]], dim: int):
     for i in range(dim):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
+
+
+def _fold(h: MonomialSos) -> list[int]:
+    """Coordinates of h whose windows fold to [0, hi], in increasing order.
+
+    The sign flips that leave H and the box unchanged are the flip sets
+    of the symmetric windows (lo == -hi) with an even exponent sum in
+    every term whose constant is not 0: the null space over GF(2) of one
+    parity row per such term.  After row reduction, each free column
+    spans one flip that touches no other free column, so every orbit of
+    the group has exactly one point whose free coordinates are all
+    nonnegative (up to a null set).  Folding the free windows therefore
+    divides the integral by exactly 2^k, k the number of free columns.
+    """
+    sym = [j for j, (lo, hi) in enumerate(h.domain) if lo == -hi]
+    rows = [
+        sum((u[j] & 1) << b for b, j in enumerate(sym))
+        for u, c in h.terms if c != 0.0
+    ]
+    _, free = _gf2_reduce(rows, [0] * len(rows), len(sym))
+    return [sym[b] for b in free]
 
 
 def _restrict(terms, coords):
@@ -669,9 +701,19 @@ def laplace_rlct_estimate(
             if not hb.terms:
                 log_z += sum(math.log(hi - lo) for lo, hi in sub_box)
                 continue
+            folded = _fold(hb)
+            if folded:
+                sub_box = [
+                    (0.0, hi) if i in folded else (lo, hi)
+                    for i, (lo, hi) in enumerate(sub_box)
+                ]
+                hb = MonomialSos(hb.dim, hb.terms, sub_box)
+            # the block is 2^k copies of its folded part: an exact scaling
+            orbit = 2.0 ** len(folded)
             left = len(coords) - (_linear_coord(hb) is not None)
         else:
             hb = lambda pts: np.asarray(h(pts), dtype=float)  # one block
+            orbit = 1.0
             left = len(coords)
 
         if left <= QUAD_MAX_DIM:
@@ -685,7 +727,6 @@ def laplace_rlct_estimate(
                     f"quadrature underflow at n={grid[bad[0]]} "
                     f"(block {coords})"
                 )
-            log_z += np.log(vals)
         else:
             used_mc = True
             vals, se = _mc_block(hb, sub_box, ns, cfg.mc_points, rng)
@@ -696,7 +737,7 @@ def laplace_rlct_estimate(
                     f"(block {coords})"
                 )
             worst_se = max(worst_se, *se)
-            log_z += np.log(vals)
+        log_z += np.log(vals * orbit)
 
     logn = np.log(ns)
     loglogn = np.log(logn)

@@ -253,6 +253,27 @@ class TestCovariance:
                     )
                     assert cov[i, j] == pytest.approx(want, abs=1e-12)
 
+    def test_joint_matches_reference_bit_for_bit(self):
+        # path products multiply the edges in the same order as the BFS
+        # oracle, so every entry is equal, zeros across components too,
+        # on random forests, an edgeless one and a 122-node caterpillar
+        rng = np.random.default_rng(13)
+        forests = [random_forest(rng) for _ in range(100)]
+        forests.append(build_forest({"1": False, "2": False, "a": True}, []))
+        k = 60
+        spine = [(f"s{i}", f"s{i + 1}") for i in range(k - 1)]
+        legs = [(f"s{i}", f"x{i}") for i in range(k)]
+        forests.append(build_forest(
+            [(f"s{i}", True) for i in range(k)]
+            + [(f"x{i}", False) for i in range(k + 2)],
+            spine + legs + [("s0", f"x{k}"), (f"s{k - 1}", f"x{k + 1}")],
+        ))
+        for f in forests:
+            p = random_params(f, rng)
+            assert np.array_equal(
+                joint_covariance(f, p), reference_joint_covariance(f, p)
+            )
+
     def test_positive_definite(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

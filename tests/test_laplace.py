@@ -21,7 +21,14 @@ from latentforest import (
     rlct_monomial_sos,
 )
 from latentforest import laplace
-from latentforest.laplace import _blocks, _line, _mc_points, _Reduced, _restrict
+from latentforest.laplace import (
+    _blocks,
+    _fold,
+    _line,
+    _mc_points,
+    _Reduced,
+    _restrict,
+)
 
 GRID7 = tuple(int(round(v)) for v in np.geomspace(1e2, 1e5, 7))
 
@@ -30,12 +37,14 @@ def sos(terms, domain):
     return MonomialSos(dim=len(domain), terms=tuple(terms), domain=tuple(domain))
 
 
+THREE_STAR = build_forest(
+    [("1", False), ("2", False), ("3", False), ("h", True)],
+    [("h", "1"), ("h", "2"), ("h", "3")],
+)
+
+
 def three_star_sos(scale=1.0):
-    star = build_forest(
-        [("1", False), ("2", False), ("3", False), ("h", True)],
-        [("h", "1"), ("h", "2"), ("h", "3")],
-    )
-    return h_q_monomials(star, scale * np.eye(3))
+    return h_q_monomials(THREE_STAR, scale * np.eye(3))
 
 
 def mc_form(h):
@@ -438,15 +447,26 @@ class TestSharedBlocks:
             ),
             # the three equal variance wells, then the reduced edge block
             (three_star_sos(1.0), 2),
+            # (-1, 1) folds to (0, 1), the window of the middle block
             (
                 sos(
                     [((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0)],
                     [(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)],
                 ),
+                1,
+            ),
+            (
+                sos(
+                    [((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0)],
+                    [(-1.0, 1.0), (0.0, 2.0), (-1.0, 1.0)],
+                ),
                 2,
             ),
         ],
-        ids=["regular-d3", "three-star", "regular-d3-two-boxes"],
+        ids=[
+            "regular-d3", "three-star", "regular-d3-two-boxes",
+            "regular-d3-boxes-apart",
+        ],
     )
     def test_equal_blocks_integrated_once(self, h, quad_calls, monkeypatch):
         calls = []
@@ -628,3 +648,101 @@ class TestReducedBlocks:
             assert est.method == "quadrature"
             assert est.mc_std_err is None
             assert est.log_z == ests[0].log_z
+
+
+def star_edge_block(q):
+    """The edge block of the three-star's H_q, on [-1, 1]^3."""
+    h = h_q_monomials(THREE_STAR, q)
+    return sos(_restrict(h.terms, [3, 4, 5]), h.domain[3:])
+
+
+# a three-star covariance with every pair correlated
+STAR_Q = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.25], [0.2, 0.25, 1.0]])
+
+
+class TestFold:
+    """Sign flips that leave H and the box unchanged are folded away.
+
+    The oracle is the unfolded integral: ``_fold`` patched to return no
+    coordinates.
+    """
+
+    @pytest.mark.parametrize(
+        "h, want",
+        [
+            # at identity q every edge term has c = 0
+            (star_edge_block(np.eye(3)), [0, 1, 2]),
+            # only the joint flip of w1 and w2 keeps w1 w2 - rho
+            (sos([((1, 1), 0.4)], [(-1.0, 1.0)] * 2), [0]),
+            (star_edge_block(STAR_Q), [0]),
+            # no window is symmetric
+            (
+                sos(
+                    [((1, 1, 0, 0), 0.2), ((0, 1, 1, 0), 0.3),
+                     ((0, 0, 1, 1), 0.1)],
+                    [(0.0, 1.0)] * 4,
+                ),
+                [],
+            ),
+            # an even exponent: (x^2 - 1)^2 is even in x
+            (sos([((2,), 1.0)], [(-2.0, 2.0)]), [0]),
+            (sos([((1,), 0.0)], [(-1.0, 2.0)]), []),
+            # x y = 1/4 pins the joint sign; z^2 is even
+            (
+                sos([((1, 1, 0), 0.25), ((0, 1, 2), 0.0)],
+                    [(-1.0, 1.0)] * 3),
+                [0, 2],
+            ),
+        ],
+        ids=[
+            "star-identity", "product-pair", "star-q", "chain-4d",
+            "even-power", "asymmetric", "pinned-pair",
+        ],
+    )
+    def test_folded_coordinates(self, h, want):
+        assert _fold(h) == want
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "star-identity", "star-q", "product-square", "hyperbola",
+            "two-leaf-path", "squares-one",
+        ],
+    )
+    def test_matches_unfolded_integral(self, name, monkeypatch):
+        path = build_forest(
+            [("1", False), ("2", False), ("a", True)],
+            [("a", "1"), ("a", "2")],
+        )
+        h = {
+            "star-identity": three_star_sos(1.0),
+            "star-q": h_q_monomials(THREE_STAR, STAR_Q),
+            "product-square": sos([((1, 1), 0.0)], [(-1.0, 1.0)] * 2),
+            "hyperbola": sos([((1, 1), 0.25)], [(-1.0, 1.0)] * 2),
+            "two-leaf-path": h_q_monomials(path, np.eye(2)),
+            "squares-one": sos(
+                [(tuple(2 * (j == i) for j in range(3)), 1.0)
+                 for i in range(3)],
+                [(-2.0, 2.0)] * 3,
+            ),
+        }[name]
+        assert any(_fold(sos(_restrict(h.terms, c), [h.domain[i] for i in c]))
+                   for c in _blocks(list(h.terms), h.dim))
+        got = laplace_rlct_estimate(h)
+        monkeypatch.setattr(laplace, "_fold", lambda h: [])
+        want = laplace_rlct_estimate(h)
+        assert got.method == want.method == "quadrature"
+        assert np.allclose(got.log_z, want.log_z, rtol=1e-9, atol=0)
+        assert got.mult_hat == want.mult_hat
+
+    def test_star_edge_block_folded_window(self, monkeypatch):
+        windows = []
+        quad = laplace._quad_block
+
+        def spy(h, box, ns):
+            windows.append(list(h.domain))
+            return quad(h, box, ns)
+
+        monkeypatch.setattr(laplace, "_quad_block", spy)
+        laplace_rlct_estimate(three_star_sos(1.0))
+        assert windows[-1] == [(0.0, 1.0)] * 3
