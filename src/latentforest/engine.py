@@ -364,12 +364,11 @@ def nonzero_codim(split: PartSplit, domain) -> int:
         a_eq = np.hstack([a_np, np.zeros((len(terms), 1))])
         res = linprog(
             cost,
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
-            A_eq=a_eq,
-            b_eq=b_np,
-            bounds=[(None, None)] * s + [(None, 1.0)],
-            method="highs",
+            np.vstack([a_ub, a_eq]),
+            np.r_[np.full(len(b_ub), -np.inf), b_np],
+            np.r_[b_ub, b_np],
+            np.full(nvar, -np.inf),
+            np.r_[np.full(s, np.inf), 1.0],
         )
         if not res.success:
             continue

@@ -3,7 +3,11 @@
 The Newton polyhedron of a set of exponent vectors is
 ``conv(points) + R_{>=0}^d``.  ``one_distance_lp`` finds its 1-distance
 and multiplicity from one linear program and proves both in rational
-arithmetic; the RLCT engine uses it.  ``newton_facets`` lists every
+arithmetic; the RLCT engine uses it.  Its floats come from compiled
+code: HiGHS solves the LP, posed as one sparse matrix, through a single
+``scipy.optimize.milp`` call (``linprog``, which ``nonzero_codim`` in
+the engine uses too), and LAPACK's pivoted QR picks the bases that the
+exact elimination then checks (``_pivots``).  ``newton_facets`` lists every
 facet and is kept as its oracle.  Facets are computed exactly by the
 double description method applied to the homogenization cone
 
@@ -23,6 +27,7 @@ from math import gcd, lcm
 from operator import mul
 
 import numpy as np
+from scipy.linalg.lapack import dgeqp3
 
 from .errors import CertificateFailure, DimensionTooLarge
 
@@ -193,26 +198,25 @@ def rational_rank(rows) -> int:
     return len(_echelon(ints)[1])
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first LP a run solves."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+def linprog(c, a, lo, hi, lb, ub):
+    """min c.x subject to lo <= A x <= hi and lb <= x <= ub: one call of
+    scipy's ``milp`` with no integer variables, which hands HiGHS the
+    problem with less input checking than ``linprog``.  scipy.optimize
+    is imported on the first LP a run solves."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    return milp(c, constraints=LinearConstraint(a, lo, hi), bounds=Bounds(lb, ub))
 
 
 def _pivots(a) -> list[int]:
-    """Columns of a that Gram-Schmidt with column pivoting picks, up to
-    its numerical rank.  (scipy's pivoted QR adds 1 MB of LAPACK code to RSS.)"""
-    a, picked = a.copy(), []
-    tol = 1e-18 * np.square(a).sum(axis=0).max()
-    for _ in range(min(a.shape)):
-        norms = np.square(a).sum(axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = a[:, j] / np.sqrt(norms[j])
-        a -= np.outer(q, q @ a)
-        picked.append(j)
-    return picked
+    """Columns of a that QR with column pivoting picks (LAPACK's
+    ``dgeqp3``), up to its numerical rank: the diagonal of R while it
+    stays above 1e-9 of the largest column norm."""
+    if not a.size:
+        return []
+    qr, jpvt = dgeqp3(a)[:2]
+    big = np.abs(np.diagonal(qr)) > 1e-9 * abs(qr[0, 0])
+    rank = len(big) if big.all() else int(big.argmin())
+    return (jpvt[:rank] - 1).tolist()
 
 
 def _exact_solution(rows, guess) -> list[int] | None:
@@ -246,6 +250,40 @@ def _exact_solution(rows, guess) -> list[int] | None:
     return x
 
 
+def _certificate_lp(gens, d):
+    """The certificate LP's rows over x = (mu, s, a, r, tau) >= 0, as a
+    sparse matrix A with bounds lo <= A x <= hi.
+
+    Equalities: U^T mu + s = tau*1, U a - r = tau*1 and sum mu = sum a
+    (no duality gap).  Inequalities: mu + r >= 1 and s + a >= 1 (strict
+    complementarity).  U holds the k generators as rows; its nonzero
+    entries are the only ones the matrix stores besides the unit blocks.
+    A zero generator forces tau = 0, and then t = 0.
+    """
+    from scipy.sparse import csc_array
+
+    k = len(gens)
+    u = np.array(gens, dtype=float).reshape(k, d)
+    gi, gc = np.nonzero(u)
+    ik, jd, fk, fd = np.arange(k), np.arange(d), np.ones(k, int), np.ones(d, int)
+    mu, s, a, r, tau = 0, k, k + d, k + 2 * d, 2 * (k + d)
+    n_eq, n_ub = d + k + 1, k + d
+    # (rows, columns, values) of each block, one constraint per line
+    blocks = [
+        (gc, mu + gi, u[gi, gc]), (jd, s + jd, fd), (jd, tau * fd, -fd),
+        (d + gi, a + gc, u[gi, gc]), (d + ik, r + ik, -fk), (d + ik, tau * fk, -fk),
+        ((d + k) * fk, mu + ik, fk), ((d + k) * fd, a + jd, -fd),
+        (n_eq + ik, mu + ik, fk), (n_eq + ik, r + ik, fk),
+        (n_eq + k + jd, s + jd, fd), (n_eq + k + jd, a + jd, fd),
+    ]
+    rows, cols, vals = (np.concatenate(z) for z in zip(*blocks))
+    order = np.lexsort((rows, cols))
+    indptr = np.r_[0, np.bincount(cols, minlength=tau + 1).cumsum()]
+    a_lp = csc_array((vals[order], rows[order], indptr), shape=(n_eq + n_ub, tau + 1))
+    lo = np.r_[np.zeros(n_eq), np.ones(n_ub)]
+    return a_lp, lo, np.r_[np.zeros(n_eq), np.full(n_ub, np.inf)]
+
+
 def one_distance_lp(zero_terms, ambient_dim: int) -> tuple[Fraction, int]:
     """``one_distance_mult(newton_facets(...))`` without the facets.
 
@@ -253,10 +291,11 @@ def one_distance_lp(zero_terms, ambient_dim: int) -> tuple[Fraction, int]:
     and the codimension of the minimal face F of P containing t*1.
     One HiGHS solve gives floats: a strictly complementary optimal pair
     (Goldman and Tucker) of max sum mu s.t. U^T mu + s = 1 and its dual
-    min sum a s.t. U a >= 1, homogenized by tau.  The generators I with
-    mu_i > 0 and the axes J with s_j > 0 span F, a is a normal of F,
-    and t = tau / sum mu.  Exact elimination turns them into rationals,
-    which must satisfy
+    min sum a s.t. U a >= 1, homogenized by tau (``_certificate_lp``, a
+    sparse matrix that stores U's nonzero entries twice and unit
+    blocks).  The generators I with mu_i > 0 and the axes J with
+    s_j > 0 span F, a is a normal of F, and t = tau / sum mu.  Exact
+    elimination turns them into rationals, which must satisfy
 
       (i)  lam_I > 0, s_J > 0 and sigma > 0, with sum lam = sigma and
            sum lam_i u_i + sum s_j e_j = sigma*t*1: t*1 lies in the
@@ -272,22 +311,9 @@ def one_distance_lp(zero_terms, ambient_dim: int) -> tuple[Fraction, int]:
     if not gens:
         raise ValueError("no exponent vectors")
     d, k = ambient_dim, len(gens)
-    u = np.array(gens, dtype=float).reshape(k, d)
-
-    # feasibility over x = (mu, s, a, r, tau) >= 0: U^T mu + s = tau*1,
-    # U a - r = tau*1, sum mu = sum a (no duality gap), and mu + r >= 1,
-    # s + a >= 1 (strict complementarity).  A zero generator forces
-    # tau = 0, and then t = 0.
-    z, e_d, e_k, o_d, o_k = np.zeros, np.eye(d), np.eye(k), np.ones(d), np.ones(k)
-    a_eq = np.block([
-        [u.T, e_d, z((d, d + k)), -o_d[:, None]],
-        [z((k, k + d)), u, -e_k, -o_k[:, None]],
-        [o_k, z(d), -o_d, z(k + 1)],
-    ])
-    a_ub = -np.block([[e_k, z((k, 2 * d)), e_k, z((k, 1))],
-                      [z((d, k)), e_d, e_d, z((d, k + 1))]])
-    res = linprog(z(2 * (k + d) + 1), A_ub=a_ub, b_ub=-np.r_[o_k, o_d],
-                  A_eq=a_eq, b_eq=z(d + k + 1), method="highs")
+    a_lp, lo, hi = _certificate_lp(gens, d)
+    n = a_lp.shape[1]
+    res = linprog(np.zeros(n), a_lp, lo, hi, np.zeros(n), np.full(n, np.inf))
     if res.status != 0:
         raise CertificateFailure(f"the certificate LP failed: {res.message}")
     mu, s, a, _, tau = np.split(res.x, np.cumsum([k, d, d, k]))

@@ -16,7 +16,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from scipy.special import logsumexp
+import numpy as np
 
 from .engine import Rlct
 from .errors import NotComparable, TooFewSamples
@@ -92,6 +92,21 @@ def log_lprime(
     )
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a nonempty sequence, by scipy 1.15's algorithm
+    (and to its last bit): the maxima are counted and kept out of the
+    shifted sum.  An infinite or NaN maximum takes the direct formula."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    ties = a == top
+    m = np.count_nonzero(ties)
+    rest = np.exp(np.where(ties, -np.inf, a) - top).sum()
+    return float(np.log1p(rest / m) + np.log(m) + top)
+
+
 def _solve_sbic(below: Sequence[Sequence[int]], lp) -> list[float]:
     """Solve the coupled sBIC equations bottom up, on log scale.
 
@@ -116,8 +131,8 @@ def _solve_sbic(below: Sequence[Sequence[int]], lp) -> list[float]:
             xs.append(own)
             continue
         prev = [xs[i] for i in bel]
-        log_s = float(logsumexp(prev))
-        log_q = float(logsumexp([lp(i, j) + x for i, x in zip(bel, prev)]))
+        log_s = _logsumexp(prev)
+        log_q = _logsumexp([lp(i, j) + x for i, x in zip(bel, prev)])
         mu = max(own, log_s, 0.5 * log_q)
         a = math.exp(own - mu)
         b = math.exp(log_s - mu)

@@ -173,6 +173,11 @@ def random_systems():
         yield gens, d
 
 
+def random_systems_sample(n):
+    """The first n of ``random_systems``."""
+    return [s for _, s in zip(range(n), random_systems())]
+
+
 TRIVALENT_GRID = (
     [(m, k) for m in (3, 4, 5, 6) for k in range(4)]
     + [(7, 0), (7, 1)]
@@ -298,9 +303,10 @@ def perturb_linprog(monkeypatch, gens, d, change):
     generators of gens in dimension d.  Returns the list of calls."""
     k = len(set(map(tuple, gens)))
     calls = []
+    seam = polyhedra.linprog
 
     def fake(*args, **kwargs):
-        res = linprog(*args, **kwargs)
+        res = seam(*args, **kwargs)
         calls.append(res)
         x = res.x.copy()
         cuts = np.cumsum([k, d, d, k])
@@ -431,3 +437,69 @@ class TestOneDistanceLp:
                 continue
             assert got == want, gens
         assert raised > 0
+
+
+def dense_certificate_lp(gens, d):
+    """The certificate LP's rows as dense ``np.block``s, equalities over
+    negated inequalities: the matrix ``_certificate_lp`` replaced."""
+    k = len(gens)
+    u = np.array(gens, dtype=float).reshape(k, d)
+    z, e_d, e_k, o_d, o_k = np.zeros, np.eye(d), np.eye(k), np.ones(d), np.ones(k)
+    a_eq = np.block([
+        [u.T, e_d, z((d, d + k)), -o_d[:, None]],
+        [z((k, k + d)), u, -e_k, -o_k[:, None]],
+        [o_k, z(d), -o_d, z(k + 1)],
+    ])
+    a_ub = -np.block([[e_k, z((k, 2 * d)), e_k, z((k, 1))],
+                      [z((d, k)), e_d, e_d, z((d, k + 1))]])
+    return a_eq, a_ub
+
+
+class TestCertificateLp:
+    @pytest.mark.parametrize(
+        "gens,d",
+        [([(2,)], 1), ([(0, 0)], 2), ([(0, 0), (1, 1)], 2), ([(1, 0, 3)], 3),
+         (COLLINEAR, 2)]
+        + [(sorted(set(g)), d) for g, d in random_systems_sample(40)],
+    )
+    def test_matches_dense_blocks(self, gens, d):
+        a, lo, hi = polyhedra._certificate_lp(gens, d)
+        a_eq, a_ub = dense_certificate_lp(gens, d)
+        n_eq, n_ub = len(a_eq), len(a_ub)
+        assert a.shape == (n_eq + n_ub, a_eq.shape[1])
+        np.testing.assert_array_equal(a.toarray(), np.vstack([a_eq, -a_ub]))
+        np.testing.assert_array_equal(lo, np.r_[np.zeros(n_eq), np.ones(n_ub)])
+        np.testing.assert_array_equal(hi, np.r_[np.zeros(n_eq), np.full(n_ub, np.inf)])
+
+
+def rank_test_matrices():
+    """(name, integer matrix) pairs: full rank, rank deficient, all zero
+    and without columns or rows."""
+    rng = np.random.default_rng(20)
+    out = [("zero", np.zeros((4, 3))), ("no-columns", np.zeros((3, 0))),
+           ("no-rows", np.zeros((0, 3))), ("one-entry", np.array([[5.0]]))]
+    for n in range(30):
+        r, c = (int(x) for x in rng.integers(1, 9, size=2))
+        full = rng.integers(-3, 4, size=(r, c)).astype(float)
+        out.append((f"full-{n}", full))
+        q = int(rng.integers(1, min(r, c) + 1))
+        low = rng.integers(-3, 4, size=(r, q)) @ rng.integers(-3, 4, size=(q, c))
+        out.append((f"low-{n}", low.astype(float)))
+        # a repeated column and a zero column next to it
+        out.append((f"dup-{n}", np.c_[full, full[:, :1], np.zeros(r)]))
+    return out
+
+
+class TestPivots:
+    @pytest.mark.parametrize("name,a", rank_test_matrices(),
+                             ids=[n for n, _ in rank_test_matrices()])
+    def test_numerical_rank_columns_span(self, name, a):
+        picked = polyhedra._pivots(a)
+        rank = np.linalg.matrix_rank(a) if a.size else 0
+        assert len(picked) == len(set(picked)) == rank
+        assert all(0 <= j < a.shape[1] for j in picked)
+        if rank:
+            # the picked columns span the column space of a
+            assert np.linalg.matrix_rank(a[:, picked]) == rank
+            coef = np.linalg.lstsq(a[:, picked], a, rcond=None)[0]
+            np.testing.assert_allclose(a[:, picked] @ coef, a, atol=1e-9)

@@ -41,7 +41,13 @@ from latentforest import (
     suff_stats,
     suff_stats_from_cov,
 )
-from latentforest.selection import _as_logliks, _drop_edge, _solve_sbic, _warm_start
+from latentforest.selection import (
+    _as_logliks,
+    _drop_edge,
+    _logsumexp,
+    _solve_sbic,
+    _warm_start,
+)
 
 
 def star3():
@@ -276,6 +282,45 @@ class TestSbicSolver:
             _as_logliks({0: -1.0}, len(lat))
         with pytest.raises(ValueError):
             _as_logliks([-1.0, -2.0], len(lat))
+
+
+def logsumexp_cases():
+    """Vectors with ties, single entries and -inf entries, seeded."""
+    rng = np.random.default_rng(15)
+    cases = [[0.0], [-7.25], [-math.inf], [-math.inf] * 3, [2.0, 2.0],
+             [3.0, -math.inf, 3.0], [-1e308, -math.inf], [1e300, 1e300, 0.0]]
+    for n in range(400):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 40)))
+        if n % 3 == 0:
+            a = np.round(a)  # ties, the maximum among them
+        if n % 4 == 0:
+            a[rng.random(a.size) < 0.3] = -math.inf
+        cases.append(a.tolist())
+    return cases
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self):
+        from scipy import __version__
+        from scipy.special import logsumexp
+
+        # scipy 1.15 took the maxima out of the sum; before, the last
+        # bits may move, by rounding errors at the scale of the entries
+        new = tuple(int(x) for x in __version__.split(".")[:2]) >= (1, 15)
+        for a in logsumexp_cases():
+            got, want = _logsumexp(a), float(logsumexp(a))
+            if new or not math.isfinite(want):
+                assert got == want, a
+            else:
+                scale = 1.0 + max(abs(x) for x in a if math.isfinite(x))
+                assert got == pytest.approx(want, rel=0, abs=1e-14 * scale), a
+
+    def test_special_values(self):
+        assert _logsumexp([-math.inf, -math.inf]) == -math.inf
+        assert _logsumexp([math.inf, 0.0]) == math.inf
+        assert math.isnan(_logsumexp([math.nan, 0.0]))
+        assert _logsumexp([-3.5]) == -3.5
+        assert _logsumexp([1.0, 1.0]) == 1.0 + math.log(2.0)
 
 
 class TestScoreTable:
