@@ -139,7 +139,7 @@ def _cmd_simulate(args):
         cfg = replace(cfg, master_seed=_seed(args))
     if args.restarts is not None or args.max_iter is not None or args.tol is not None:
         cfg = replace(cfg, em=_em_config(args))
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     counts = result.to_csv()
     if args.out:
         Path(args.out).write_text(counts)
@@ -213,9 +213,6 @@ def _build_parser() -> _Parser:
     si = sub.add_parser("simulate", parents=[common, em],
                         help="run a built-in experiment protocol")
     si.add_argument("--config", required=True)
-    si.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility and ignored; "
-                    "replicates run serially")
     si.add_argument("--out", default=None, help="also write counts CSV here")
     si.add_argument("--edges-out", default=None, dest="edges_out",
                     help="write lattice cover edges CSV here")

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .engine import MonomialSos, Rlct
 from .errors import LeafMismatch, NotSubforest
-from .forests import Forest, _as_forest, model_dimension
+from .forests import Forest, _as_forest, _find, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:
@@ -110,26 +110,13 @@ def subtree_decomposition(host, sub) -> tuple[tuple[Forest, tuple[str, ...]], ..
     removed = [e for e in host.edges if e not in sub.edge_set]
 
     parent = list(range(len(removed)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    incident: dict[str, list[int]] = {}
+    first: dict[str, int] = {}  # the first removed edge at each node
     for idx, e in enumerate(removed):
-        for v in e:
-            incident.setdefault(v, []).append(idx)
-    for v, idxs in incident.items():
-        if v not in ustar:
-            root = find(idxs[0])
-            for j in idxs[1:]:
-                parent[find(j)] = root
-
+        for v in e - ustar:
+            parent[_find(parent, idx)] = _find(parent, first.setdefault(v, idx))
     groups: dict[int, list[int]] = {}
     for idx in range(len(removed)):
-        groups.setdefault(find(idx), []).append(idx)
+        groups.setdefault(_find(parent, idx), []).append(idx)
 
     node_order = {v: i for i, v in enumerate(host.nodes)}
     out = []

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CycleError,
@@ -55,6 +55,28 @@ def edge(u: str, v: str) -> Edge:
     if u == v:
         raise CycleError(f"self loop at node {u!r}")
     return frozenset((u, v))
+
+
+def _walk(neighbors: Mapping, root: str) -> Iterator[tuple[str, str]]:
+    """``(node, parent)`` for each node but root of root's tree, breadth
+    first, each node's ``neighbors`` in stored order.  This one order
+    fixes the lattice walk, the canonical-code pass and the order in
+    which EM multiplies path products."""
+    order = [(root, None)]
+    for x, p in order:
+        for w in neighbors[x]:
+            if w != p:
+                step = (w, x)
+                order.append(step)
+                yield step
+
+
+def _find(parent, x):
+    """Root of x in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -93,14 +115,7 @@ class Forest:
 
     def component_of(self, v: str) -> frozenset:
         """Node set of the connected component containing ``v``."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self.neighbors[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return frozenset([v, *(w for w, _ in _walk(self.neighbors, v))])
 
     def components(self) -> list[frozenset]:
         out = []
@@ -116,21 +131,17 @@ class Forest:
         """Edges on the unique u-v path, or None if disconnected."""
         if u == v:
             return ()
-        parent: dict[str, str] = {u: u}
-        stack = [u]
-        while stack and v not in parent:
-            x = stack.pop()
-            for w in self.neighbors[x]:
-                if w not in parent:
-                    parent[w] = x
-                    stack.append(w)
-        if v not in parent:
+        parent = {}
+        for w, x in _walk(self.neighbors, u):
+            parent[w] = x
+            if w == v:
+                break
+        else:
             return None
         out = []
-        x = v
-        while x != u:
-            out.append(edge(x, parent[x]))
-            x = parent[x]
+        while v != u:
+            out.append(Edge((v, parent[v])))
+            v = parent[v]
         return tuple(reversed(out))
 
     def to_json(self) -> str:
@@ -172,13 +183,6 @@ def build_forest(nodes, edges) -> Forest:
     seen: set[Edge] = set()
     out_edges: list[Edge] = []
     parent = {v: v for v in ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for pair in edges:
         u, v = (str(x) for x in pair)
         for x in (u, v):
@@ -188,7 +192,7 @@ def build_forest(nodes, edges) -> Forest:
         if e in seen:
             raise DuplicateEdge(f"edge {sorted(e)} repeated")
         seen.add(e)
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise CycleError(f"edge {sorted(e)} closes a cycle")
         parent[ru] = rv
@@ -321,21 +325,13 @@ def canonicalize(f: Forest) -> CanonicalForest:
     # relabelling walk below.
     kids: dict[str, list[str]] = {}
     comps: list[tuple[str, str]] = []  # (component code, root)
-    parent: dict[str, str | None] = {}
     for root in sorted(observed):
-        if root in parent:
+        if root in kids:
             continue
-        parent[root] = None
-        order = [root]
-        for x in order:
-            for w in adj[x]:
-                if w != parent[x]:
-                    parent[w] = x
-                    order.append(w)
         sub: dict[str, str] = {}
-        for x in reversed(order):
+        for x, par in reversed([(root, None), *_walk(adj, root)]):
             kids[x] = sorted(
-                (w for w in adj[x] if w != parent[x]), key=sub.__getitem__
+                (w for w in adj[x] if w != par), key=sub.__getitem__
             )
             inner = ",".join(sub.pop(w) for w in kids[x])
             if x in latent:
@@ -644,16 +640,10 @@ def _leaves_first(host: Forest) -> list[tuple[str, int]]:
     steps: list[tuple[str, int]] = []
     seen: set[str] = set()
     for root in host.observed:
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier = [root]
-        for v in frontier:
-            for w in host.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-                    steps.append((w, bit[edge(v, w)]))
+        if root not in seen:
+            for w, v in _walk(host.neighbors, root):
+                seen.add(w)
+                steps.append((w, bit[edge(v, w)]))
     return steps[::-1]
 
 

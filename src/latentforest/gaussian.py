@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .engine import MonomialSos
 from .errors import NotPositiveDefinite, UnrealizablePattern, UnknownNode
-from .forests import Edge, Forest, _as_forest, edge
+from .forests import Edge, Forest, _as_forest, _walk, edge
 
 #: The M-step keeps every edge correlation inside [-1 + CORR_CLAMP,
 #: 1 - CORR_CLAMP] and every imputed variance at or above VAR_FLOOR.
@@ -134,24 +134,20 @@ class _Layout:
     def __init__(self, f: Forest):
         self.nodes = f.observed + tuple(v for v in f.nodes if v in f.latent)
         self.p = len(f.observed)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.index = index = {v: i for i, v in enumerate(self.nodes)}
         self.forest = f
         n = len(self.nodes)
-        eidx = {e: i for i, e in enumerate(f.edges)}
+        eidx = {}
+        for i, (a, b) in enumerate(f.edges):
+            eidx[a, b] = eidx[b, a] = i
         levels: dict[int, list[tuple[int, int, int]]] = {}
         for start in self.nodes:
-            row = self.index[start] * n
+            row = index[start] * n
             depth = {start: 0}
-            queue = [start]
-            for v in queue:
-                for w in f.neighbors[v]:
-                    if w not in depth:
-                        depth[w] = depth[v] + 1
-                        queue.append(w)
-                        levels.setdefault(depth[w], []).append(
-                            (row + self.index[w], row + self.index[v],
-                             eidx[edge(v, w)])
-                        )
+            for w, v in _walk(f.neighbors, start):
+                depth[w] = d = depth[v] + 1
+                levels.setdefault(d, []).append(
+                    (row + index[w], row + index[v], eidx[v, w]))
         self.walks = [tuple(np.array(col) for col in zip(*steps))
                       for steps in levels.values()]
         self.eye = np.eye(n)
@@ -334,31 +330,55 @@ def kl_divergence(cov_p, cov_q) -> float:
     return 0.5 * (trace - p.shape[0] + logdet_q - logdet_p)
 
 
+def _target(f: Forest, cov, names) -> tuple[np.ndarray, np.ndarray]:
+    """Variances and correlation matrix of a target covariance, both in
+    f.observed order; ``cov`` is ordered as ``names`` (default
+    f.observed) and must be a finite square matrix over the observed
+    nodes with a positive variance at each."""
+    order = tuple(names) if names is not None else f.observed
+    if len(order) != len(f.observed) or set(order) != set(f.observed):
+        raise UnknownNode("covariance names do not match the observed nodes")
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (len(order), len(order)):
+        raise NotPositiveDefinite(
+            f"target covariance of {len(order)} nodes has shape {cov.shape}")
+    pos = {v: i for i, v in enumerate(order)}
+    perm = [pos[v] for v in f.observed]
+    cov = cov[np.ix_(perm, perm)]
+    var = cov.diagonal()
+    for v, s in zip(f.observed, var):
+        if not 0 < s < math.inf:
+            raise NotPositiveDefinite(
+                f"target variance of {v!r} is {float(s)}; it must be "
+                "positive and finite")
+    if not np.isfinite(cov).all():
+        i, j = np.argwhere(~np.isfinite(cov))[0]
+        raise NotPositiveDefinite(
+            f"target covariance of {f.observed[i]!r} and "
+            f"{f.observed[j]!r} is {float(cov[i, j])}")
+    return var, cov / np.sqrt(np.outer(var, var))
+
+
 def h_q(host, params: ModelParams, cov, names=None) -> float:
     """Value of the phase function H_q at the given parameters.
 
     Sum of (w_v - sigma_vv)^2 over observed nodes plus
     (prod_path w_e - rho_vw)^2 over observed pairs, where the path
     product is zero for pairs disconnected in the host.  Vanishes
-    exactly when the parameters reproduce the target covariance.
+    exactly when the parameters reproduce the target covariance, which
+    must be finite with a positive variance at each observed node
+    (NotPositiveDefinite otherwise).
     """
     f = _as_forest(host)
+    var, rho = _target(f, cov, names)
     lay = _Layout(f)
     corr = lay.joint(np.ones(len(lay.nodes)), lay.vectors(params)[1])
-    cov = np.asarray(cov, dtype=float)
-    order = tuple(names) if names is not None else f.observed
-    pos = {v: i for i, v in enumerate(order)}
-    node = lay.index
     total = 0.0
-    for v in f.observed:
-        total += (params.leaf_var[v] - cov[pos[v], pos[v]]) ** 2
-    for i in range(len(f.observed)):
-        for j in range(i + 1, len(f.observed)):
-            a, b = f.observed[i], f.observed[j]
-            rho_star = cov[pos[a], pos[b]] / math.sqrt(
-                cov[pos[a], pos[a]] * cov[pos[b], pos[b]]
-            )
-            total += (float(corr[node[a], node[b]]) - rho_star) ** 2
+    for v, s in zip(f.observed, var):
+        total += (params.leaf_var[v] - s) ** 2
+    for i in range(len(var)):
+        for j in range(i + 1, len(var)):
+            total += (float(corr[i, j]) - rho[i, j]) ** 2
     return total
 
 
@@ -375,30 +395,22 @@ def h_q_monomials(host, cov, names=None) -> MonomialSos:
     variance] and each correlation in [-1, 1].
     """
     f = _as_forest(host)
-    cov = np.asarray(cov, dtype=float)
-    order = tuple(names) if names is not None else f.observed
-    if set(order) != set(f.observed):
-        raise UnknownNode("covariance names do not match the observed nodes")
-    pos = {v: i for i, v in enumerate(order)}
+    var, rho = _target(f, cov, names)
     nv = len(f.observed)
     ne = len(f.edges)
     ecoord = {e: nv + i for i, e in enumerate(f.edges)}
     dim = nv + ne
     terms = []
-    for k, v in enumerate(f.observed):
+    for k in range(nv):
         u = [0] * dim
         u[k] = 1
-        terms.append((tuple(u), float(cov[pos[v], pos[v]])))
+        terms.append((tuple(u), float(var[k])))
     for i in range(nv):
         for j in range(i + 1, nv):
             a, b = f.observed[i], f.observed[j]
-            rho = float(
-                cov[pos[a], pos[b]]
-                / math.sqrt(cov[pos[a], pos[a]] * cov[pos[b], pos[b]])
-            )
             pathe = f.path(a, b)
             if pathe is None:
-                if rho != 0.0:
+                if rho[i, j] != 0.0:
                     raise UnrealizablePattern(
                         f"nodes {a!r}, {b!r} are correlated but disconnected "
                         "in the host"
@@ -407,8 +419,8 @@ def h_q_monomials(host, cov, names=None) -> MonomialSos:
             u = [0] * dim
             for e in pathe:
                 u[ecoord[e]] = 1
-            terms.append((tuple(u), rho))
-    var_bound = 2.0 * float(np.max(np.diag(cov)))
+            terms.append((tuple(u), float(rho[i, j])))
+    var_bound = 2.0 * float(var.max())
     domain = ((0.0, var_bound),) * nv + ((-1.0, 1.0),) * ne
     return MonomialSos(dim=dim, terms=tuple(terms), domain=domain)
 

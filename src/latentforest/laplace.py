@@ -62,6 +62,7 @@ from scipy.special import erf, erfcx
 
 from .engine import MonomialSos, _gf2_reduce
 from .errors import IntegrationFailure
+from .forests import _find
 
 DEFAULT_N_GRID = tuple(
     int(round(v)) for v in np.geomspace(1e2, 1e6, 13)
@@ -165,22 +166,13 @@ class LaplaceEstimate:
 def _blocks(terms: list[tuple[tuple[int, ...], float]], dim: int):
     """Connected components of coordinates under shared term support."""
     parent = list(range(dim))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for u, _ in terms:
         sup = [i for i, e in enumerate(u) if e]
         for a, b in zip(sup, sup[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            parent[_find(parent, a)] = _find(parent, b)
     groups: dict[int, list[int]] = {}
     for i in range(dim):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     return sorted(groups.values())
 
 

@@ -100,8 +100,9 @@ def subdivide_leaf_edge(tree, tag, rng):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_python(args, hash_seed: int) -> str:
-    """Stdout of ``python3 args`` in a fresh process with a fixed hash seed.
+def python_process(args, hash_seed: int) -> subprocess.CompletedProcess:
+    """``python3 args`` run to the end in a fresh process with a fixed
+    hash seed, its stdout and stderr captured as text.
 
     The process imports the library from this checkout's ``src`` and
     runs OpenBLAS single threaded, so only the hash seed varies.
@@ -110,8 +111,13 @@ def run_python(args, hash_seed: int) -> str:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True
     )
+
+
+def run_python(args, hash_seed: int) -> str:
+    """Stdout of ``python3 args`` (see python_process), which must exit 0."""
+    proc = python_process(args, hash_seed)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

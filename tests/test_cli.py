@@ -290,13 +290,13 @@ class TestSimulate:
         counts = [int(r.rsplit(",", 1)[1]) for r in out.splitlines()[1:]]
         assert sum(counts) == 2 * 2  # replicates per criterion
 
-    def test_threads_byte_identical(self, tmp_path, capsys):
+    def test_threads_is_usage_error(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path)
-        base = ["simulate", "--config", cfg, "--restarts", "1",
-                "--max-iter", "150"]
-        _, one = self.run(base, capsys)
-        _, four = self.run(base + ["--threads", "4"], capsys)
-        assert one == four
+        assert main(["simulate", "--config", cfg, "--threads", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert "--threads" in captured.err
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         cfg = self.config_file(tmp_path)

@@ -31,7 +31,7 @@ import latentforest.forests as forests_mod
 from latentforest.cli import main
 from latentforest.forests import _subforest_of_mask
 from latentforest.selection import _drop_edge
-from conftest import random_forest, run_python
+from conftest import random_forest, run_python, subdivide_leaf_edge
 
 
 def pattern_oracle(nodes, latent, edges):
@@ -108,7 +108,67 @@ class TestBuildForest:
         assert again.edges == quartet.edges
 
 
+def reference_path(f: Forest, u, v):
+    """Depth-first u-v path search, independent of the library's walk."""
+    if u == v:
+        return ()
+    parent = {u: u}
+    stack = [u]
+    while stack and v not in parent:
+        x = stack.pop()
+        for w in f.neighbors[x]:
+            if w not in parent:
+                parent[w] = x
+                stack.append(w)
+    if v not in parent:
+        return None
+    out = []
+    x = v
+    while x != u:
+        out.append(edge(x, parent[x]))
+        x = parent[x]
+    return tuple(reversed(out))
+
+
+def reference_component(f: Forest, v) -> frozenset:
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in f.neighbors[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
 class TestPathsAndComponents:
+    def test_match_depth_first_reference(self):
+        rng = np.random.default_rng(22)
+        cases = [random_forest(rng) for _ in range(200)]
+        for m, seed in ((4, 0), (5, 1), (6, 2), (8, 3), (10, 4)):
+            t = random_trivalent_tree(m, seed)
+            for k in range(3):
+                t = subdivide_leaf_edge(t, k, rng)
+                cases.append(t)
+        for f in cases:
+            comps = []
+            for u in f.nodes:
+                comp = reference_component(f, u)
+                assert f.component_of(u) == comp
+                if comp not in comps:
+                    comps.append(comp)
+                for v in f.nodes:
+                    got = f.path(u, v)
+                    assert got == reference_path(f, u, v)
+                    if u == v:
+                        assert got == ()
+                    elif v not in comp:
+                        assert got is None
+                    else:
+                        ends = [set(e) for e in got]
+                        assert u in ends[0] and v in ends[-1]
+            assert f.components() == comps
+
     def test_path(self, five_tree):
         p = five_tree.path("1", "4")
         assert p == (edge("a", "1"), edge("a", "b"), edge("b", "4"))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import deque
 from dataclasses import replace
 from unittest import mock
@@ -518,6 +519,45 @@ class TestPhaseFunction:
         assert a.terms == b.terms
         with pytest.raises(UnknownNode):
             h_q_monomials(quartet, cov, names=["1", "2", "3", "9"])
+
+
+DEGENERATE_TARGETS = [
+    ("zero variance", (1, 1), 0.0, "'2'"),
+    ("negative variance", (2, 2), -1.0, "'3'"),
+    ("nan variance", (0, 0), math.nan, "'1'"),
+    ("infinite variance", (1, 1), math.inf, "'2'"),
+    ("nan covariance", (0, 2), math.nan, "'1' and '3'"),
+]
+
+
+class TestDegenerateTarget:
+    """Both H_q builders refuse a target covariance that is not a finite
+    matrix over the observed nodes with a positive variance at each."""
+
+    @staticmethod
+    def builders(f):
+        p = ModelParams({v: 1.0 for v in f.observed},
+                        {e: 0.5 for e in f.edges})
+        return [lambda cov: h_q(f, p, cov), lambda cov: h_q_monomials(f, cov)]
+
+    @pytest.mark.parametrize(
+        "cell, value, node", [c[1:] for c in DEGENERATE_TARGETS],
+        ids=[c[0] for c in DEGENERATE_TARGETS],
+    )
+    def test_bad_entry_names_the_node(self, three_star, cell, value, node):
+        cov = np.eye(3)
+        cov[cell] = value
+        for build in self.builders(three_star):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite, match=node):
+                    build(cov)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4, 4), (3,)])
+    def test_wrong_shape(self, three_star, shape):
+        for build in self.builders(three_star):
+            with pytest.raises(NotPositiveDefinite, match="shape"):
+                build(np.ones(shape))
 
 
 class TestEmConfig:
