@@ -5,8 +5,9 @@ Its RLCT splits into two independent parts:
 
   * the terms with c_i != 0 cut out a smooth fiber; they contribute the
     rank of their exponent matrix, provided the fiber meets the interior
-    of the domain (checked per sign orthant with an exact GF(2) solve
-    for the signs and a linear program for the log-magnitudes), and
+    of the domain.  An exact GF(2) solve gives the sign orthants, and a
+    linear program in the log-magnitudes checks each one: its matrix is
+    built once per system and an orthant sets only its bounds; and
 
   * the terms with c_i = 0, restricted to the coordinates not touched
     by the nonzero part, contribute through the Newton polyhedron of
@@ -16,8 +17,9 @@ Its RLCT splits into two independent parts:
 Neither number needs the facet list.  ``polyhedra.one_distance_lp``
 reads t and that face off one linear program, a strictly complementary
 primal-dual pair, and proves both in rational arithmetic; a failed
-proof raises CertificateFailure, never a float-derived answer.  The exact hull (``newton_facets`` with
-``one_distance_mult``) is the oracle the tests check it against.
+proof raises CertificateFailure, never a float-derived answer.  The
+exact hull (``newton_facets`` with ``one_distance_mult``) is the oracle
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -280,6 +282,14 @@ def nonzero_codim(split: PartSplit, domain) -> int:
     the support coordinates.  Raises NoInteriorSolution when the fiber
     only touches the domain boundary, EmptyFiber when it misses the
     domain entirely and TooLarge when more than 20 signs are free.
+
+    The signs of w come from an exact GF(2) solve.  In a sign orthant
+    |w_j| runs from bottom_j to top_j, read off the domain, and one LP
+    in (x, delta), x = log|w|, maximizes the margin delta <= 1 subject
+    to U x = log|c|, x_j + delta <= log top_j and
+    x_j - delta >= log bottom_j.  Its matrix [[U, 0], [I, 1], [I, -1]]
+    is built once; an orthant sets only the bounds, and orthants with
+    equal bounds (as on a box symmetric about 0) share one LP.
     """
     terms = split.nonzero_terms
     if not terms:
@@ -287,95 +297,48 @@ def nonzero_codim(split: PartSplit, domain) -> int:
     sup = split.support
     s = len(sup)
     umat = [[u[i] for i in sup] for u, _ in terms]
-    logc = [math.log(abs(c)) for _, c in terms]
-    rows = []
-    rhs = []
-    for urow, (_, c) in zip(umat, terms):
-        mask = 0
-        for j, x in enumerate(urow):
-            if x & 1:
-                mask |= 1 << j
-        rows.append(mask)
-        rhs.append(1 if c < 0 else 0)
+    rows = [sum(1 << j for j, x in enumerate(urow) if x & 1) for urow in umat]
+    rhs = [int(c < 0) for _, c in terms]
     rank = rational_rank(umat)
 
-    # log-magnitude system, shared by all orthants
     a_np = np.array(umat, dtype=float)
-    b_np = np.array(logc, dtype=float)
+    b_np = np.array([math.log(abs(c)) for _, c in terms])
     x0, *_ = np.linalg.lstsq(a_np, b_np, rcond=None)
     scale = max(1.0, float(np.max(np.abs(b_np))))
     if float(np.max(np.abs(a_np @ x0 - b_np))) > 1e-8 * scale:
         raise EmptyFiber("the magnitude system w^u = |c| has no solution")
 
-    best = -math.inf
-    # the LP sees an orthant only through its bounds, so orthants with
-    # equal bounds (as on a box symmetric about 0) share one LP
-    solved: set = set()
+    # the matrix [[U, 0], [I, 1], [I, -1]] of the docstring
+    k, inf = len(terms), np.full(s, np.inf)
+    a = np.zeros((k + 2 * s, s + 1))
+    a[:k, :s], a[k:k + s], a[k + s:] = a_np, np.eye(s, s + 1), np.eye(s, s + 1)
+    a[k:k + s, s], a[k + s:, s] = 1.0, -1.0
+    cost, ub = np.zeros(s + 1), np.full(s + 1, np.inf)
+    cost[s], ub[s] = -1.0, 1.0
+    box, eq = (np.full(s + 1, -np.inf), ub), np.ones(k, bool)
+    lo, hi = np.array([domain[i] for i in sup]).reshape(-1, 2).T
+    best, solved = -math.inf, set()
     for signs in _gf2_sign_solutions(rows, rhs, s):
-        # interval of |w_j| inside this orthant, in log coordinates
-        finite_ub: list[tuple[int, float]] = []
-        finite_lb: list[tuple[int, float]] = []
-        ok = True
-        for j, i in enumerate(sup):
-            lo, hi = domain[i]
-            if signs >> j & 1:  # negative sign
-                if lo >= 0:
-                    ok = False
-                    break
-                if not math.isinf(lo):
-                    finite_ub.append((j, math.log(-lo)))
-                if hi < 0:
-                    finite_lb.append((j, math.log(-hi)))
-            else:
-                if hi <= 0:
-                    ok = False
-                    break
-                if not math.isinf(hi):
-                    finite_ub.append((j, math.log(hi)))
-                if lo > 0:
-                    finite_lb.append((j, math.log(lo)))
-        if not ok:
+        neg = np.array([signs >> j & 1 for j in range(s)], dtype=bool)
+        top, bottom = np.where(neg, -lo, hi), np.where(neg, -hi, lo)
+        if (top <= 0).any():
             continue
-        if not finite_ub and not finite_lb:
+        up = np.log(top)
+        down = np.log(bottom, out=np.full(s, -np.inf), where=bottom > 0)
+        # rows whose bounds are both infinite stay out of the LP
+        keep = np.concatenate([eq, up < np.inf, down > -np.inf])
+        if not keep[k:].any():
             return rank
-        key = (tuple(finite_ub), tuple(finite_lb))
+        key = (up.tobytes(), down.tobytes())
         if key in solved:
             continue
         solved.add(key)
-        # maximize the margin delta: u.x = log|c|, x_j + delta <= ub,
-        # x_j - delta >= lb; delta capped so the LP stays bounded
-        nvar = s + 1
-        a_ub = []
-        b_ub = []
-        for j, ub in finite_ub:
-            row = [0.0] * nvar
-            row[j] = 1.0
-            row[s] = 1.0
-            a_ub.append(row)
-            b_ub.append(ub)
-        for j, lb in finite_lb:
-            row = [0.0] * nvar
-            row[j] = -1.0
-            row[s] = 1.0
-            a_ub.append(row)
-            b_ub.append(-lb)
-        cost = [0.0] * nvar
-        cost[s] = -1.0
-        a_eq = np.hstack([a_np, np.zeros((len(terms), 1))])
-        res = linprog(
-            cost,
-            np.vstack([a_ub, a_eq]),
-            np.r_[np.full(len(b_ub), -np.inf), b_np],
-            np.r_[b_ub, b_np],
-            np.full(nvar, -np.inf),
-            np.r_[np.full(s, np.inf), 1.0],
-        )
-        if not res.success:
-            continue
-        delta = -res.fun
-        best = max(best, delta)
-        if delta > INTERIOR_TOL:
-            return rank
+        res = linprog(cost, a[keep], np.concatenate([b_np, -inf, down])[keep],
+                      np.concatenate([b_np, up, inf])[keep], *box)
+        if res.success:
+            best = max(best, -res.fun)
+            if best > INTERIOR_TOL:
+                return rank
     if best >= -INTERIOR_TOL:
         raise NoInteriorSolution(
             "the fiber of the nonzero part only touches the domain boundary"

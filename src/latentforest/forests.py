@@ -24,7 +24,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -61,14 +61,19 @@ def _walk(neighbors: Mapping, root: str) -> Iterator[tuple[str, str]]:
     """``(node, parent)`` for each node but root of root's tree, breadth
     first, each node's ``neighbors`` in stored order.  This one order
     fixes the lattice walk, the canonical-code pass and the order in
-    which EM multiplies path products."""
+    which EM multiplies path products.  The walk expands at most as
+    many nodes as ``neighbors`` holds; if nodes are still waiting then,
+    a cycle is reachable from root, and it raises CycleError.  A caller
+    that stops early, as ``Forest.path`` does, checks for itself."""
     order = [(root, None)]
-    for x, p in order:
+    for x, p in islice(order, len(neighbors)):
         for w in neighbors[x]:
             if w != p:
                 step = (w, x)
                 order.append(step)
                 yield step
+    if len(order) > len(neighbors):
+        raise CycleError(f"a cycle is reachable from node {root!r}")
 
 
 def _find(parent, x):
@@ -131,7 +136,7 @@ class Forest:
         """Edges on the unique u-v path, or None if disconnected."""
         if u == v:
             return ()
-        parent = {}
+        parent = {u: None}
         for w, x in _walk(self.neighbors, u):
             parent[w] = x
             if w == v:
@@ -139,10 +144,14 @@ class Forest:
         else:
             return None
         out = []
-        while v != u:
+        # a path has fewer edges than parent has keys, unless a node
+        # reached twice left the parents in a loop
+        for _ in parent:
+            if v == u:
+                return tuple(reversed(out))
             out.append(Edge((v, parent[v])))
             v = parent[v]
-        return tuple(reversed(out))
+        raise CycleError(f"a cycle is reachable from node {u!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -308,6 +317,8 @@ def canonicalize(f: Forest) -> CanonicalForest:
     for v in f.nodes:
         if v in latent and len(adj[v]) == 2:
             p, q = sorted(adj[v])
+            if q in adj[p]:
+                raise CycleError(f"nodes {v!r}, {p!r} and {q!r} form a cycle")
             merged = sources[edge(v, p)] + sources[edge(v, q)]
             drop_edge(v, p)
             drop_edge(v, q)

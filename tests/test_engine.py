@@ -222,6 +222,19 @@ class TestNonzeroPart:
         assert rlct_monomial_sos(m).as_tuple() == (F(1), 1)
 
 
+def count_lps(monkeypatch) -> list:
+    """The list that each later ``engine.linprog`` call appends to."""
+    calls = []
+    linprog = engine.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "linprog", spy)
+    return calls
+
+
 class TestSignOrthants:
     """Hand-derived cases for each branch of the per-orthant check."""
 
@@ -241,9 +254,12 @@ class TestSignOrthants:
         "c, domain", [(-0.5, (0.0, 1.0)), (0.5, (-1.0, 0.0))],
         ids=["negative-on-positive-box", "positive-on-negative-box"],
     )
-    def test_impossible_sign(self, c, domain):
+    def test_impossible_sign(self, c, domain, monkeypatch):
+        # the one orthant has no room, so no LP runs
+        calls = count_lps(monkeypatch)
         with pytest.raises(EmptyFiber, match="misses the domain"):
             self.codim(1, [((1,), c)], [domain])
+        assert calls == []
 
     @pytest.mark.parametrize("c, want", [(-0.25, 2), (0.25, None)])
     def test_gf2_elimination(self, c, want):
@@ -279,6 +295,34 @@ class TestSignOrthants:
         with pytest.raises(NoInteriorSolution):
             self.codim(d, terms, [(-1.0, 1.0)] * d)
         assert len(calls) == 1
+
+    def test_unbounded_box_needs_no_lp(self, monkeypatch):
+        # w1 w2 = -1/2 and w1 = 2 on R^2: every orthant is unbounded
+        calls = count_lps(monkeypatch)
+        terms = [((1, 1), -0.5), ((1, 0), 2.0)]
+        assert self.codim(2, terms, [(-np.inf, np.inf)] * 2) == 2
+        assert calls == []
+
+    def test_one_lp_per_distinct_bounds(self, monkeypatch):
+        # w_j^2 = 4 on (-1, 2) for j < 2 and w_2^2 = 1 on (-1, 1): the
+        # 8 orthants see 4 bound pairs, |w_j| < 2 or < 1 for j < 2 and
+        # |w_2| < 1 always; none has the fiber inside, so all 4 are tried
+        calls = count_lps(monkeypatch)
+        terms = [((2, 0, 0), 4.0), ((0, 2, 0), 4.0), ((0, 0, 2), 1.0)]
+        with pytest.raises(NoInteriorSolution):
+            self.codim(3, terms, [(-1.0, 2.0)] * 2 + [(-1.0, 1.0)])
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("c, domain, error", [
+        (0.3, (0.5, 2.0), EmptyFiber),
+        (-0.3, (-2.0, -0.5), EmptyFiber),
+        (0.5, (0.5, 2.0), NoInteriorSolution),
+    ], ids=["below", "below-negative", "on-bound"])
+    def test_lower_bound_decides(self, c, domain, error):
+        # |w| = |c| is at or below the least |w| on the domain, 1/2,
+        # while the upper bound 2 leaves room
+        with pytest.raises(error):
+            self.codim(1, [((1,), c)], [domain])
 
     def test_too_many_free_signs(self):
         d = 21

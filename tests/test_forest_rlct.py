@@ -1,17 +1,24 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latentforest import (
     LeafMismatch,
+    ModelParams,
     NotSubforest,
     build_forest,
     canonicalize,
     connected_observed_pairs,
+    covariance,
     edge,
+    h_q_monomials,
+    laplace_rlct_estimate,
+    lattice5_host,
     model_dimension,
     q_forest,
+    random_trivalent_tree,
     rlct_forest_pair,
     rlct_monomial_sos,
     steiner_subforest,
@@ -193,3 +200,63 @@ class TestZeroPartMonomials:
             assert connected_observed_pairs(sub) == connected_observed_pairs(
                 cls.forest
             )
+
+
+def generic_cov(sub, rng):
+    """Sigma_q of random parameters of sub: variances U(0.5, 2) and
+    correlations +-U(0.3, 0.9), so no correlation outside the pattern
+    of sub vanishes."""
+    params = ModelParams(
+        leaf_var={v: rng.uniform(0.5, 2.0) for v in sub.observed},
+        edge_corr={e: rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.9)
+                   for e in sub.edges},
+    )
+    return covariance(sub, params)
+
+
+class TestFullPhaseFunction:
+    """Three routes to the RLCT of H_q agree: the closed form, the
+    engine on the full H_q (nonzero constants and sign orthants
+    included) and, on the three-star, the Laplace oracle."""
+
+    @pytest.mark.parametrize("host, sample", [
+        (lattice5_host(), None),
+        (random_trivalent_tree(6, 0), None),
+        (random_trivalent_tree(8, 1), 60),
+        (random_trivalent_tree(10, 1), 60),
+    ], ids=["five-leaf", "m6", "m8", "m10"])
+    def test_engine_equals_closed_form(self, host, sample):
+        """Every comparable pair of the lattice, or a seeded sample of
+        them; the pair is the class rep in the host and the q-forest of
+        the smaller class inside that rep."""
+        rng = np.random.default_rng(len(host.observed))
+        lat = subforest_lattice(host)
+        if sample is None:
+            pairs = [(j, i) for j in range(len(lat)) for i in range(len(lat))
+                     if lat.leq(i, j)]
+        else:
+            masks = np.array(lat.steiner_masks)
+            pairs = []
+            for j in rng.integers(len(lat), size=sample):
+                below = np.flatnonzero((masks & ~masks[j]) == 0)
+                pairs.append((int(j), int(rng.choice(below))))
+        bad = []
+        for j, i in pairs:
+            rep = steiner_subforest(host, lat.classes[j])
+            sub = q_forest(rep, connected_observed_pairs(lat.classes[i].forest))
+            m = h_q_monomials(rep, generic_cov(sub, rng), sub.observed)
+            if rlct_monomial_sos(m) != rlct_forest_pair(rep, sub):
+                bad.append((j, i))
+        assert not bad, bad
+
+    def test_laplace_on_three_star_lattice(self, three_star):
+        """Criterion 10's bound, 20 % of the closed form, at every class."""
+        rng = np.random.default_rng(3)
+        lat = subforest_lattice(three_star)
+        assert len(lat) == 5
+        for cls in lat.classes:
+            sub = q_forest(three_star, connected_observed_pairs(cls.forest))
+            h = h_q_monomials(three_star, generic_cov(sub, rng), sub.observed)
+            lam = float(rlct_forest_pair(three_star, sub).lam)
+            est = laplace_rlct_estimate(h)
+            assert abs(est.lambda_hat - lam) <= 0.2 * lam, (cls.code, est)

@@ -19,6 +19,7 @@ from latentforest import (
     canonicalize,
     connected_observed_pairs,
     edge,
+    em_fit,
     forest_from_json,
     model_dimension,
     q_forest,
@@ -26,6 +27,8 @@ from latentforest import (
     sbic_all,
     steiner_subforest,
     subforest_lattice,
+    suff_stats_from_cov,
+    zero_part_monomials,
 )
 import latentforest.forests as forests_mod
 from latentforest.cli import main
@@ -184,6 +187,64 @@ class TestPathsAndComponents:
             assert observed_components(f) == pattern_oracle(
                 f.nodes, f.latent, [tuple(e) for e in f.edges]
             )
+
+
+def direct_forest(edges, observed=("1", "2")) -> Forest:
+    """A Forest built without build_forest, so without its cycle check;
+    every node but the observed ones is latent."""
+    nodes = sorted({v for e in edges for v in e} | set(observed))
+    return Forest(nodes=tuple(nodes), latent=frozenset(nodes) - set(observed),
+                  edges=tuple(edge(*e) for e in edges))
+
+
+# a latent triangle a-b-c with leaf 1 on a; leaf 2 is isolated
+TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "1")]
+
+
+class TestDirectCycles:
+    """Every walk over a cyclic Forest raises CycleError, not a loop."""
+
+    def test_component_of(self):
+        f = direct_forest(TRIANGLE)
+        with pytest.raises(CycleError, match="reachable from node '1'"):
+            f.component_of("1")
+        with pytest.raises(CycleError):
+            f.components()
+
+    def test_path(self):
+        with pytest.raises(CycleError):
+            direct_forest(TRIANGLE).path("1", "2")
+
+    def test_path_across_the_cycle(self):
+        # leaf 3 on c: the walk meets c from a and from b, which would
+        # leave c and b each other's parent; twelve isolated leaves keep
+        # the walk shorter than the node count
+        observed = ["1", "3"] + [f"x{i}" for i in range(12)]
+        f = direct_forest(TRIANGLE + [("c", "3")], observed=observed)
+        with pytest.raises(CycleError):
+            f.path("1", "3")
+        with pytest.raises(CycleError):
+            zero_part_monomials(f, direct_forest([], observed=observed))
+
+    def test_em_fit(self):
+        f = direct_forest(TRIANGLE)
+        stats = suff_stats_from_cov(np.eye(2), 50, names=f.observed)
+        with pytest.raises(CycleError):
+            em_fit(f, stats)
+
+    def test_canonicalize_parallel_edge(self):
+        # contracting c would merge a second a-b edge into the first
+        f = direct_forest(TRIANGLE + [("b", "2")])
+        with pytest.raises(CycleError, match="'c', 'a' and 'b' form a cycle"):
+            canonicalize(f)
+
+    def test_canonicalize_cycle_of_degree_three(self):
+        # a latent square with a leaf on each corner: nothing contracts
+        square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+        leaves = [("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]
+        f = direct_forest(square + leaves, observed=("1", "2", "3", "4"))
+        with pytest.raises(CycleError):
+            canonicalize(f)
 
 
 class TestCanonicalize:
