@@ -37,6 +37,7 @@ from .forests import Forest, _as_forest, _find, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:
+    host.components()  # raises CycleError if host has a cycle
     if set(host.observed) != set(sub.observed):
         raise LeafMismatch(
             f"host leaves {sorted(host.observed)} differ from "
@@ -48,9 +49,7 @@ def _validate_pair(host: Forest, sub: Forest) -> None:
     missing = sub.edge_set - host.edge_set
     if missing:
         raise NotSubforest(f"edges {sorted(map(sorted, missing))} not in host")
-    if sub.latent - host.latent or (set(sub.nodes) - sub.latent) - (
-        set(host.nodes) - host.latent
-    ):
+    if sub.latent - host.latent:
         raise NotSubforest("node labels disagree with the host")
     for v in sub.latent:
         if sub.degree(v) < 2:

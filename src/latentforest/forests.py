@@ -290,27 +290,21 @@ def canonicalize(f: Forest) -> CanonicalForest:
     deterministically as h1, h2, ...
     """
     latent = set(f.latent)
-    adj: dict[str, set[str]] = {v: set() for v in f.nodes}
-    sources: dict[Edge, tuple[Edge, ...]] = {}
+    # adj[u][v] is the run of input edges merged into the edge u-v
+    adj: dict[str, dict[str, tuple[Edge, ...]]] = {v: {} for v in f.nodes}
     for e in f.edges:
         u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
-        sources[e] = (e,)
-
-    def drop_edge(u: str, v: str) -> None:
-        adj[u].discard(v)
-        adj[v].discard(u)
-        del sources[edge(u, v)]
+        adj[u][v] = adj[v][u] = (e,)
 
     # rule (i): delete latent nodes of degree <= 1, to a fixpoint
     queue = [v for v in f.nodes if v in latent and len(adj[v]) <= 1]
     while queue:
         v = queue.pop()
-        for w in list(adj[v]):
-            drop_edge(v, w)
+        for w in adj[v]:
+            del adj[w][v]
             if w in latent and len(adj[w]) <= 1:
                 queue.append(w)
+        adj[v].clear()
     # rule (ii): contract each latent node of degree 2, in f.nodes order.
     # Contracting v keeps the degrees of its two neighbours and makes no
     # latent leaf, so one pass reaches the fixpoint of both rules.
@@ -319,12 +313,9 @@ def canonicalize(f: Forest) -> CanonicalForest:
             p, q = sorted(adj[v])
             if q in adj[p]:
                 raise CycleError(f"nodes {v!r}, {p!r} and {q!r} form a cycle")
-            merged = sources[edge(v, p)] + sources[edge(v, q)]
-            drop_edge(v, p)
-            drop_edge(v, q)
-            adj[p].add(q)
-            adj[q].add(p)
-            sources[edge(p, q)] = merged
+            adj[p][q] = adj[q][p] = adj[v][p] + adj[v][q]
+            del adj[p][v], adj[q][v]
+            adj[v].clear()
 
     observed = [v for v in f.nodes if v not in latent]
 
@@ -376,7 +367,7 @@ def canonicalize(f: Forest) -> CanonicalForest:
     out_edges = tuple(
         edge(names.get(v, v), names.get(par, par)) for v, par in walk
     )
-    out_sources = tuple(sources[edge(v, par)] for v, par in walk)
+    out_sources = tuple(adj[v][par] for v, par in walk)
     reduced = Forest(
         nodes=tuple(observed) + tuple(names[v] for v in latent_order),
         latent=frozenset(names.values()),
@@ -392,6 +383,7 @@ def model_dimension(f: Forest | CanonicalForest) -> int:
     (such nodes can only be latent, observed nodes being leaves).
     """
     f = _as_forest(f)
+    f.components()  # raises CycleError if f has a cycle
     l2 = sum(1 for v in f.nodes if f.degree(v) == 2)
     return len(f.observed) + len(f.edges) - l2
 
@@ -426,6 +418,7 @@ def q_forest(host: Forest, correlated_pairs) -> Forest:
     when the path union connects a pair that was not listed.
     """
     pairs = _normalize_pairs(host, correlated_pairs)
+    host.components()  # raises CycleError if host has a cycle
     used: set[Edge] = set()
     for p in pairs:
         u, v = tuple(p)

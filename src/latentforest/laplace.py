@@ -35,7 +35,7 @@ Each folded block then takes one of three routes.
   integrand at the largest n is scanned for its peaks, panels are
   graded around the refined peaks, and a globally adaptive
   Gauss-Kronrod rule evaluates all panels and all n as one array per
-  stage.  A 2-D integrand runs the same rule along every row at once.
+  stage.  In 2-D the same rule runs along every row of an outer rule.
   A callable phase function is one block and is never reduced.
 * Monte Carlo.  Larger blocks use stratified Monte Carlo with points
   shared across the grid.  The grid increases, so a point whose weight
@@ -55,6 +55,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,10 @@ class LaplaceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mc_points < 1:
-            raise ValueError("mc_points must be at least 1")
+        for key, low in (("mc_points", 1), ("seed", 0)):
+            v = getattr(self, key)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -295,14 +298,7 @@ def _line(h0, big_a, slope, hi_len, lo_len, ns):
         ra = np.sqrt(a)
         w, live = _weights(h0[part], ns)
         k = _erf_part(ra * hi_i, rn, pieces[0][part])
-        # a second window as long as the first (a centred vertex) adds
-        # the same again
-        same = lo_i == hi_i
-        if same.all():
-            k *= 2.0
-        elif same.any():
-            k[same] *= 2.0
-        two = (lo_i > 0.0) & ~same
+        two = lo_i > 0.0
         if two.any():
             k[two] += _erf_part((ra * lo_i)[two], rn, pieces[1][part][two])
         with np.errstate(invalid="ignore"):
@@ -508,8 +504,12 @@ def _quad_block(h, box, ns: np.ndarray) -> tuple[np.ndarray, bool]:
     A monomial block with a coordinate of exponent at most 1 is first
     reduced by one coordinate in closed form (``_Reduced``); the rest,
     at most QUAD_MAX_DIM coordinates, goes to the graded adaptive rule.
-    One rule covers the whole grid, so the wide small-n peaks steer the
-    subdivision towards the narrow large-n ones.
+    Each axis is graded around the minima of the least phase over the
+    other axes, scanned once at the largest n; the last axis is
+    integrated along every row at once, under an outer rule over the
+    first when there are two.  One rule covers the whole grid, so the
+    wide small-n peaks steer the subdivision towards the narrow large-n
+    ones.
     """
     j = _linear_coord(h) if isinstance(h, MonomialSos) else None
     f = _Reduced(h, j) if j is not None else _Plain(h, box)
@@ -517,37 +517,26 @@ def _quad_block(h, box, ns: np.ndarray) -> tuple[np.ndarray, bool]:
         return f(np.empty((1, 0)), ns)[0], False
     top = float(ns[-1])
     width = 1.0 / math.sqrt(top)
-    if len(f.box) == 1:
-        (lo, hi), = f.box
-        xs = np.linspace(lo, hi, _SCAN[0])
+    d = len(f.box)
+    axes = [np.linspace(lo, hi, _SCAN[d - 1]) for lo, hi in f.box]
 
-        def line(v):
-            return f.phase(v[:, None], top)
+    def phase(*coords):
+        grid = np.meshgrid(*coords, indexing="ij")
+        pts = np.column_stack([g.ravel() for g in grid])
+        return f.phase(pts, top).reshape(grid[0].shape)
 
-        ends = _axis_breaks(line, xs, line(xs), width)
-        est, short = _adapt(lambda r, v: f(v[:, None], ns), ends, 1)
-        return est[0], short
+    scan = phase(*axes)
+    ends = []
+    for k, xs in enumerate(axes):
+        others = tuple(i for i in range(d) if i != k)
 
-    (xlo, xhi), (ylo, yhi) = f.box
-    xs = np.linspace(xlo, xhi, _SCAN[1])
-    ys = np.linspace(ylo, yhi, _SCAN[1])
+        def profile(v, k=k, others=others):
+            return phase(*axes[:k], v, *axes[k + 1:]).min(axis=others)
 
-    def grid(u, v):
-        gu, gv = np.meshgrid(u, v, indexing="ij")
-        return np.column_stack([gu.ravel(), gv.ravel()])
+        ends.append(_axis_breaks(profile, xs, scan.min(axis=others), width))
+    *outer, inner = ends
 
-    def phase(u, v):
-        return f.phase(grid(u, v), top).reshape(len(u), len(v))
-
-    scan = phase(xs, ys)
-    x_ends = _axis_breaks(
-        lambda u: phase(u, ys).min(axis=1), xs, scan.min(axis=1), width
-    )
-    y_ends = _axis_breaks(
-        lambda v: phase(xs, v).min(axis=0), ys, scan.min(axis=0), width
-    )
-
-    row_cost = (len(y_ends) - 1) * len(_GK_X)  # points of a row's first stage
+    row_cost = (len(inner) - 1) * len(_GK_X)  # points of a row's first stage
     batch = max(1, _MAX_POINTS // row_cost)
     short = False
 
@@ -559,13 +548,15 @@ def _quad_block(h, box, ns: np.ndarray) -> tuple[np.ndarray, bool]:
         for part in np.array_split(u, -(-len(u) // batch)):
             est, part_short = _adapt(
                 lambda r, v: f(np.column_stack([part[r], v]), ns),
-                y_ends, len(part),
+                inner, len(part),
             )
             out.append(est)
             short |= part_short
         return np.concatenate(out)
 
-    est, outer_short = _adapt(rows, x_ends, 1, row_cost)
+    if not outer:
+        return rows(None, np.empty((1, 0)))[0], short
+    est, outer_short = _adapt(rows, outer[0], 1, row_cost)
     return est[0], short or outer_short
 
 
@@ -644,11 +635,11 @@ def laplace_rlct_estimate(
 ) -> LaplaceEstimate:
     """Estimate (lambda, mult) of a phase function from Z_n regressions.
 
-    ``h`` is either a :class:`MonomialSos` (its domain is used unless
-    one is passed) or a plain callable mapping an (N, d) array of
-    points to H values, in which case ``domain`` is required and the
-    function is treated as one block.  The zero set of H must meet the
-    box, the box must be bounded, and every grid n must be at least 2.
+    ``h`` is either a :class:`MonomialSos` over its own domain or a
+    plain callable mapping an (N, d) array of points to H values, whose
+    box ``domain`` is then required and which is treated as one block.
+    The zero set of H must meet the box, the box must be bounded, and
+    every grid n must be at least 2.
     """
     cfg = cfg or LaplaceConfig()
     grid = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
@@ -656,7 +647,9 @@ def laplace_rlct_estimate(
         raise ValueError("n grid must be at least 3 increasing integers >= 2")
 
     if isinstance(h, MonomialSos):
-        box = list(h.domain if domain is None else domain)
+        if domain is not None:
+            raise ValueError("a MonomialSos is integrated over its own domain")
+        box = list(h.domain)
         dim = h.dim
         const = sum((1.0 - c) ** 2 for u, c in h.terms if not any(u))
         live = [(u, c) for u, c in h.terms if any(u)]

@@ -13,13 +13,14 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .engine import Rlct
-from .errors import NotComparable, TooFewSamples
+from .errors import NotComparable, NotInLattice, TooFewSamples
 from .forest_rlct import rlct_forest_pair
 from .forests import (
     CanonicalForest,
@@ -48,8 +49,12 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     superclass inside the host (degree-two chains intact), which is the
     parameter space the superclass model actually uses there; the
     subclass is its own Steiner mask, which lies inside that one.
-    Results are memoized on ``lattice.rlct_cache``.
+    Results are memoized on ``lattice.rlct_cache``.  An index that is
+    not an integer in 0..len(lattice) - 1 raises ``NotInLattice``.
     """
+    for i in (sub, sup):
+        if not (isinstance(i, numbers.Integral) and 0 <= i < len(lattice)):
+            raise NotInLattice(f"class index {i!r} is outside 0..{len(lattice) - 1}")
     if not lattice.leq(sub, sup):
         raise NotComparable(
             f"class {sub} is not below class {sup} in the lattice"
@@ -83,6 +88,7 @@ def log_lprime(
     including in floating point, because lambda is then the integer
     model dimension and mult is one.
     """
+    _check_sample_size(n)
     r = pair_rlct(lattice, sub, sup)
     logn = math.log(n)
     return (

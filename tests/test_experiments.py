@@ -9,6 +9,7 @@ from latentforest import (
     EmConfig,
     ExperimentConfig,
     ExperimentResult,
+    ModelLattice,
     ModelParams,
     NoSuchDepth,
     TooFewLeaves,
@@ -50,6 +51,14 @@ class TestGenerators:
         # a proper subclass of the saturated model
         assert idx != lat.max_index
         assert lat.leq(idx, lat.max_index)
+
+    def test_truth_class_missing(self):
+        # a lattice of the host's bottom and top classes only, as a
+        # pruning chain has
+        host = lattice5_host()
+        lat = ModelLattice(host, (0, (1 << len(host.edges)) - 1))
+        with pytest.raises(LookupError, match="wrong host"):
+            lattice5_truth_index(lat)
 
     def test_trivalent_tree_shape(self):
         for m in range(3, 9):

@@ -107,6 +107,20 @@ class TestPairThreshold:
         with pytest.raises(LeafMismatch):
             rlct_forest_pair(quartet, empty_on(["1", "2", "3"]))
 
+    def test_host_latent_leaf_rejected(self, quartet):
+        host = build_forest(
+            [(v, v not in quartet.observed) for v in quartet.nodes]
+            + [("z", True)],
+            [tuple(e) for e in quartet.edges] + [("a", "z")],
+        )
+        with pytest.raises(ValueError, match="'z' has degree < 2"):
+            rlct_forest_pair(host, empty_on(["1", "2", "3", "4"]))
+
+    def test_sub_latent_not_in_host(self, quartet):
+        sub = build_forest({**{str(i): False for i in range(1, 5)}, "z": True}, [])
+        with pytest.raises(NotSubforest, match="node labels disagree"):
+            rlct_forest_pair(quartet, sub)
+
     def test_not_subforest(self, quartet):
         other = build_forest(
             [(str(i), False) for i in range(1, 5)] + [("z", True)],

@@ -24,9 +24,11 @@ from latentforest import (
     model_dimension,
     q_forest,
     random_trivalent_tree,
+    rlct_forest_pair,
     sbic_all,
     steiner_subforest,
     subforest_lattice,
+    subtree_decomposition,
     suff_stats_from_cov,
     zero_part_monomials,
 )
@@ -81,6 +83,10 @@ class TestBuildForest:
                 {"a": False, "b": False, "c": True},
                 [("a", "b"), ("b", "c"), ("c", "a")],
             )
+
+    def test_duplicate_node_ids(self):
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            build_forest([("a", False), ("a", True)], [])
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
@@ -199,6 +205,8 @@ def direct_forest(edges, observed=("1", "2")) -> Forest:
 
 # a latent triangle a-b-c with leaf 1 on a; leaf 2 is isolated
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "1")]
+# the same triangle with leaves 1, 2 and 3, one on each corner
+CORNERS = TRIANGLE + [("b", "2"), ("c", "3")]
 
 
 class TestDirectCycles:
@@ -231,6 +239,21 @@ class TestDirectCycles:
         stats = suff_stats_from_cov(np.eye(2), 50, names=f.observed)
         with pytest.raises(CycleError):
             em_fit(f, stats)
+
+    @pytest.mark.parametrize("call", [
+        lambda f, empty: rlct_forest_pair(f, empty),
+        lambda f, empty: subtree_decomposition(f, empty),
+        lambda f, empty: zero_part_monomials(f, empty),
+        lambda f, empty: model_dimension(f),
+        lambda f, empty: q_forest(f, [("1", "2")]),
+    ], ids=["rlct_forest_pair", "subtree_decomposition",
+            "zero_part_monomials", "model_dimension", "q_forest"])
+    def test_node_and_edge_readers(self, call):
+        # none of these needs a walk over the whole forest for its answer
+        observed = ("1", "2", "3")
+        with pytest.raises(CycleError):
+            call(direct_forest(CORNERS, observed=observed),
+                 direct_forest([], observed=observed))
 
     def test_canonicalize_parallel_edge(self):
         # contracting c would merge a second a-b edge into the first
@@ -274,6 +297,12 @@ class TestCanonicalize:
         assert "b" not in c.forest.nodes
         # a has degree 2 and is contracted into a single 1--2 edge
         assert c.forest.edges == (edge("1", "2"),)
+
+    def test_latent_names_avoid_observed_ids(self):
+        # an observed node named h1 moves the latent names to hh1, ...
+        star = build_forest({"h1": False, "2": False, "3": False, "x": True},
+                            [("x", "h1"), ("x", "2"), ("x", "3")])
+        assert canonicalize(star).forest.latent == {"hh1"}
 
     def test_latent_relabeling_invariance(self, quartet):
         relabeled = build_forest(
@@ -487,6 +516,21 @@ class TestLattice:
             lat.class_index(canonicalize(three_star))
         with pytest.raises(NotInLattice):
             steiner_subforest(five_tree, canonicalize(three_star))
+
+    @pytest.mark.parametrize("edges, match", [
+        # 1-2 and 4-5 share the host's a-b edge, so 1-4 would correlate
+        ([("1", "2"), ("4", "5")], "forces correlation"),
+        # ((1, 2), 4, (3, 5)): every pair correlates, but the host is
+        # ((1, 5), 4, (2, 3))
+        ([("x", "1"), ("x", "2"), ("x", "y"), ("y", "4"), ("y", "z"),
+          ("z", "3"), ("z", "5")], "not realizable"),
+    ], ids=["pattern", "topology"])
+    def test_steiner_refuses_foreign_class(self, five_tree, edges, match):
+        nodes = {**{str(i): False for i in range(1, 6)},
+                 **{v: True for v in "xyz"}}
+        sub = canonicalize(build_forest(nodes, edges))
+        with pytest.raises(NotInLattice, match=match):
+            steiner_subforest(five_tree, sub)
 
     def test_too_large(self):
         big = build_forest(

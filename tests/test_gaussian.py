@@ -398,6 +398,18 @@ class TestLoglik:
         with pytest.raises(NotPositiveDefinite):
             loglik(np.array([[1.0, 2.0], [2.0, 1.0]]), s)
 
+    def test_covariance_and_stats_sizes_differ(self):
+        s = suff_stats_from_cov(np.eye(3), 10)
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            loglik(np.eye(2), s)
+
+    def test_sample_from_singular_model(self):
+        pair = build_forest({"1": False, "2": False}, [("1", "2")])
+        params = ModelParams(leaf_var={"1": 1.0, "2": 1.0},
+                             edge_corr={edge("1", "2"): 1.0})
+        with pytest.raises(NotPositiveDefinite, match="singular"):
+            sample(pair, params, 5, seed=0)
+
     def test_suff_stats_moments(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(7, 3)) + 2.0

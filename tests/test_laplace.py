@@ -283,10 +283,21 @@ class TestFailurePaths:
         with pytest.raises(ValueError):
             laplace_rlct_estimate(h, n_grid=(1, 5, 10))
 
-    @pytest.mark.parametrize("points", [0, -5])
+    @pytest.mark.parametrize("points", [0, -5, 2.5])
     def test_mc_points_validated(self, points):
         with pytest.raises(ValueError, match="mc_points"):
             LaplaceConfig(mc_points=points)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            LaplaceConfig(seed=seed)
+
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_monomial_sos_keeps_its_domain(self, windows):
+        h = sos([((1, 1), 0.0)], [(0.0, 1.0)] * 2)
+        with pytest.raises(ValueError, match="its own domain"):
+            laplace_rlct_estimate(h, domain=[(0.0, 1.0)] * windows)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

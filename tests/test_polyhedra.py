@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,6 +402,12 @@ class TestOneDistanceLp:
         with pytest.raises(CertificateFailure):
             one_distance_lp(gens, 2)
         assert len(calls) == 1
+
+    def test_failed_lp_raises(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "linprog", lambda *args: SimpleNamespace(
+            status=2, message="The problem is infeasible."))
+        with pytest.raises(CertificateFailure, match="LP failed: The problem"):
+            one_distance_lp(COLLINEAR, 2)
 
     def test_one_linprog_call(self, monkeypatch):
         sos = trivalent_zero_part(7, 5, 1)

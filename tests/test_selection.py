@@ -13,6 +13,7 @@ from latentforest import (
     EmConfig,
     ModelParams,
     NotComparable,
+    NotInLattice,
     ScoreRow,
     ScoreTable,
     TooFewSamples,
@@ -166,6 +167,14 @@ class TestPairRlct:
                 pairs += 1
         assert pairs > len(lat)
 
+    @pytest.mark.parametrize("sub, sup", [(0, 40), (0, 5), (-1, -1), (-1, 4),
+                                          (1.5, 4), (0, 4.0)])
+    def test_index_outside_lattice(self, sub, sup):
+        lat = subforest_lattice(star3())
+        with pytest.raises(NotInLattice, match="outside 0..4"):
+            pair_rlct(lat, sub, sup)
+        assert not lat.rlct_cache
+
     def test_memoized(self):
         lat = subforest_lattice(star3())
         first = pair_rlct(lat, 0, 4)
@@ -203,6 +212,12 @@ class TestSbicSolver:
         for row, w in zip(table.rows, want):
             assert math.isfinite(row.sbic)
             assert row.sbic == pytest.approx(w, rel=1e-8)
+
+    def test_sum_cancels_own_term(self):
+        # S = L = 1 and Q = exp(-2000), which underflows at scale 1:
+        # x^2 = Q, so log x = -1000
+        lp = {(0, 0): 0.0, (1, 1): 0.0, (0, 1): -2000.0}
+        assert _solve_sbic([[], [0]], lambda i, j: lp[i, j]) == [0.0, -1000.0]
 
     def test_minimum_class_equals_bic(self):
         lat = subforest_lattice(star3())
@@ -275,6 +290,11 @@ class TestSbicSolver:
         lat = subforest_lattice(star3())
         with pytest.raises(TooFewSamples, match="sBIC needs n >= 2"):
             sbic_all(lat, [-1.0] * len(lat), 1)
+
+    def test_log_lprime_needs_two_samples(self):
+        lat = subforest_lattice(star3())
+        with pytest.raises(TooFewSamples, match="sBIC needs n >= 2"):
+            log_lprime(lat, 0, 0, -1.0, 1)
 
     def test_bad_fits(self):
         lat = subforest_lattice(star3())
