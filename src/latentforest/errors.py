@@ -81,7 +81,8 @@ class NotPositiveDefinite(LatentForestError):
 
 
 class TooFewSamples(LatentForestError):
-    """sBIC needs a sample size n of at least 2 (it uses log log n)."""
+    """A sample size n below what is asked of it: sufficient statistics
+    and BIC need n >= 1, sBIC n >= 2 (it uses log log n)."""
 
 
 class NotComparable(LatentForestError):

@@ -37,7 +37,6 @@ from .forests import Forest, _as_forest, _find, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:
-    host.components()  # raises CycleError if host has a cycle
     if set(host.observed) != set(sub.observed):
         raise LeafMismatch(
             f"host leaves {sorted(host.observed)} differ from "

@@ -8,7 +8,7 @@ isomorphic by a map that fixes the observed labels.
 
 The module provides
 
-* validated construction (``build_forest``) and JSON round trips,
+* a self-checking ``Forest``, ``build_forest`` from plain ids, JSON round trips,
 * reduction to a canonical form with no latent node of degree <= 2
   (``canonicalize``), together with a stable leaf-anchored code,
 * the model dimension count ``|V| + |E| - l2``,
@@ -24,7 +24,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -61,19 +61,15 @@ def _walk(neighbors: Mapping, root: str) -> Iterator[tuple[str, str]]:
     """``(node, parent)`` for each node but root of root's tree, breadth
     first, each node's ``neighbors`` in stored order.  This one order
     fixes the lattice walk, the canonical-code pass and the order in
-    which EM multiplies path products.  The walk expands at most as
-    many nodes as ``neighbors`` holds; if nodes are still waiting then,
-    a cycle is reachable from root, and it raises CycleError.  A caller
-    that stops early, as ``Forest.path`` does, checks for itself."""
+    which EM multiplies path products.  ``neighbors`` must be acyclic,
+    as the adjacency of any ``Forest`` is."""
     order = [(root, None)]
-    for x, p in islice(order, len(neighbors)):
+    for x, p in order:
         for w in neighbors[x]:
             if w != p:
                 step = (w, x)
                 order.append(step)
                 yield step
-    if len(order) > len(neighbors):
-        raise CycleError(f"a cycle is reachable from node {root!r}")
 
 
 def _find(parent, x):
@@ -92,11 +88,52 @@ class Forest:
     observed nodes used by covariance matrices and sample columns.
     ``edges`` keeps the declared order, which fixes bit positions in
     lattice edge-subset codes.
+
+    Each construction, ``dataclasses.replace`` too, checks the forest
+    once, so readers do not: unique node ids (``ValueError``) that
+    include the latent ones (``UnknownNode``); edges, in turn, between
+    two declared (``UnknownNode``), distinct (``CycleError``) nodes,
+    none repeated (``DuplicateEdge``) or closing a cycle
+    (``CycleError``); observed degree at most 1 (``ObservedDegreeError``).
     """
 
     nodes: tuple[str, ...]
     latent: frozenset[str]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        # union-find over the nodes, halving paths as _find does
+        parent = {v: v for v in self.nodes}
+        if len(parent) != len(self.nodes):
+            raise ValueError(f"duplicate node ids in {list(self.nodes)}")
+        for v in sorted(self.latent - parent.keys()):
+            raise UnknownNode(f"latent node {v!r} was not declared")
+        for e in self.edges:
+            try:
+                u, v = e
+                while u != (w := parent[u]):
+                    parent[u] = u = parent[w]
+                while v != (w := parent[v]):
+                    parent[v] = v = parent[w]
+            except (KeyError, ValueError):  # an undeclared end, or not a pair
+                u = v = None
+            if u == v:  # e is refused; find out why
+                for x in sorted(e - parent.keys()):
+                    raise UnknownNode(f"edge endpoint {x!r} was not declared")
+                if len(e) == 1:
+                    raise CycleError(f"self loop at node {min(e)!r}")
+                if len(e) != 2:
+                    raise ValueError(f"edge {sorted(e)} does not join two nodes")
+                # each edge before e joined two roots: they number the non-roots
+                if e in self.edges[: sum(x != p for x, p in parent.items())]:
+                    raise DuplicateEdge(f"edge {sorted(e)} repeated")
+                raise CycleError(f"edge {sorted(e)} closes a cycle")
+            parent[u] = v
+        ends = [x for e in self.edges for x in e if x not in self.latent]
+        if len(set(ends)) < len(ends):  # an observed node ends two edges
+            v = next(v for v in self.observed if self.degree(v) > 1)
+            raise ObservedDegreeError(
+                f"observed node {v!r} has degree {self.degree(v)}")
 
     @cached_property
     def observed(self) -> tuple[str, ...]:
@@ -144,14 +181,10 @@ class Forest:
         else:
             return None
         out = []
-        # a path has fewer edges than parent has keys, unless a node
-        # reached twice left the parents in a loop
-        for _ in parent:
-            if v == u:
-                return tuple(reversed(out))
+        while v != u:
             out.append(Edge((v, parent[v])))
             v = parent[v]
-        raise CycleError(f"a cycle is reachable from node {u!r}")
+        return tuple(reversed(out))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -165,55 +198,17 @@ class Forest:
 
 
 def build_forest(nodes, edges) -> Forest:
-    """Validate and build a :class:`Forest`.
-
-    Parameters
-    ----------
-    nodes
-        Mapping from node id to a latent flag, or an iterable of
-        ``(id, latent)`` pairs.  Ids are coerced to ``str``.
-    edges
-        Iterable of node id pairs.
-
-    Raises
-    ------
-    UnknownNode, DuplicateEdge, CycleError, ObservedDegreeError
-    """
+    """Build a :class:`Forest`, which checks itself, from ``nodes`` (a
+    mapping id -> latent flag, or ``(id, latent)`` pairs) and ``edges``
+    (id pairs), coercing every id to ``str``."""
     if isinstance(nodes, Mapping):
-        items = [(str(v), bool(b)) for v, b in nodes.items()]
-    else:
-        items = [(str(v), bool(b)) for v, b in nodes]
-    ids = [v for v, _ in items]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate node ids in {ids}")
-    latent = frozenset(v for v, b in items if b)
-    known = set(ids)
-
-    seen: set[Edge] = set()
-    out_edges: list[Edge] = []
-    parent = {v: v for v in ids}
-    for pair in edges:
-        u, v = (str(x) for x in pair)
-        for x in (u, v):
-            if x not in known:
-                raise UnknownNode(f"edge endpoint {x!r} was not declared")
-        e = edge(u, v)
-        if e in seen:
-            raise DuplicateEdge(f"edge {sorted(e)} repeated")
-        seen.add(e)
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            raise CycleError(f"edge {sorted(e)} closes a cycle")
-        parent[ru] = rv
-        out_edges.append(e)
-
-    f = Forest(nodes=tuple(ids), latent=latent, edges=tuple(out_edges))
-    for v in f.observed:
-        if f.degree(v) > 1:
-            raise ObservedDegreeError(
-                f"observed node {v!r} has degree {f.degree(v)}"
-            )
-    return f
+        nodes = nodes.items()
+    items = [(str(v), bool(b)) for v, b in nodes]
+    return Forest(
+        nodes=tuple(v for v, _ in items),
+        latent=frozenset(v for v, b in items if b),
+        edges=tuple(Edge((str(u), str(v))) for u, v in edges),
+    )
 
 
 def forest_from_json(text: str) -> Forest:
@@ -311,8 +306,6 @@ def canonicalize(f: Forest) -> CanonicalForest:
     for v in f.nodes:
         if v in latent and len(adj[v]) == 2:
             p, q = sorted(adj[v])
-            if q in adj[p]:
-                raise CycleError(f"nodes {v!r}, {p!r} and {q!r} form a cycle")
             adj[p][q] = adj[q][p] = adj[v][p] + adj[v][q]
             del adj[p][v], adj[q][v]
             adj[v].clear()
@@ -383,7 +376,6 @@ def model_dimension(f: Forest | CanonicalForest) -> int:
     (such nodes can only be latent, observed nodes being leaves).
     """
     f = _as_forest(f)
-    f.components()  # raises CycleError if f has a cycle
     l2 = sum(1 for v in f.nodes if f.degree(v) == 2)
     return len(f.observed) + len(f.edges) - l2
 
@@ -418,7 +410,6 @@ def q_forest(host: Forest, correlated_pairs) -> Forest:
     when the path union connects a pair that was not listed.
     """
     pairs = _normalize_pairs(host, correlated_pairs)
-    host.components()  # raises CycleError if host has a cycle
     used: set[Edge] = set()
     for p in pairs:
         u, v = tuple(p)
@@ -518,12 +509,22 @@ class ModelLattice:
     rest is read off the masks: ``classes[i]``, the canonical forest of
     mask i, is built when first read, and ``depth`` and ``dims`` when
     first used.  A pruning chain is scored as the totally ordered
-    lattice of its classes, listed bottom up.
+    lattice of its classes, listed bottom up.  Masks that are not
+    strictly increasing, or that set a bit beyond the host edges, raise
+    ``NotInLattice``; that no mask leaves a latent leaf is the caller's
+    to keep.
     """
 
     host: Forest
     steiner_masks: tuple[int, ...]
     rlct_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        masks, top = self.steiner_masks, 1 << len(self.host.edges)
+        if not all(a < b for a, b in zip((-1, *masks), (*masks, top))):
+            raise NotInLattice(
+                "Steiner masks must increase strictly and stay within the "
+                f"{len(self.host.edges)} host edges")
 
     def __len__(self) -> int:
         return len(self.steiner_masks)
@@ -651,7 +652,7 @@ def _leaves_first(host: Forest) -> list[tuple[str, int]]:
     return steps[::-1]
 
 
-def subforest_lattice(host: Forest) -> ModelLattice:
+def subforest_lattice(host: Forest | CanonicalForest) -> ModelLattice:
     """Enumerate all subforest classes of a canonical host.
 
     A class is fixed by its pattern of connected observed pairs.  Its
@@ -674,6 +675,7 @@ def subforest_lattice(host: Forest) -> ModelLattice:
     the end.  No class is canonicalized here: ``classes[i]`` is built
     on first read.
     """
+    host = _as_forest(host)
     if any(host.degree(v) <= 2 for v in host.latent):
         raise ValueError(
             "host must be canonical (no latent node of degree <= 2)"

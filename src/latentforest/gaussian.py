@@ -18,7 +18,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .engine import MonomialSos
-from .errors import NotPositiveDefinite, UnrealizablePattern, UnknownNode
+from .errors import (
+    NotPositiveDefinite, TooFewSamples, UnrealizablePattern, UnknownNode,
+)
 from .forests import Edge, Forest, _as_forest, _walk, edge
 
 #: The M-step keeps every edge correlation inside [-1 + CORR_CLAMP,
@@ -63,11 +65,27 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Sample size and averaged second moment matrix (1/n) sum x x^T."""
+    """Sample size and averaged second moment matrix (1/n) sum x x^T.
+
+    ``n`` must be an integer >= 1 (``ValueError``, ``TooFewSamples``),
+    the moment a square matrix, and ``names``, if given, one per row.
+    """
 
     n: int
     second_moment: np.ndarray
     names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if self.n < 1:
+            raise TooFewSamples(f"stats need n >= 1 samples, got n = {self.n}")
+        shape = np.shape(self.second_moment)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"second moment must be a square matrix, not {shape}")
+        if self.names is not None and len(self.names) != shape[0]:
+            raise ValueError(
+                f"{len(self.names)} names for a second moment of {shape[0]} rows")
 
 
 @dataclass(frozen=True)
@@ -223,7 +241,7 @@ def suff_stats(data, names=None, center: bool = False) -> SufficientStats:
 
 def suff_stats_from_cov(cov, n: int, names=None) -> SufficientStats:
     return SufficientStats(
-        n=int(n),
+        n=n,
         second_moment=np.asarray(cov, dtype=float),
         names=None if names is None else tuple(names),
     )

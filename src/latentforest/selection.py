@@ -37,7 +37,9 @@ from .gaussian import EmConfig, ModelParams, SufficientStats, em_fit
 
 def bic(loglik_hat: float, dim: int, n: int) -> float:
     """Bayesian information criterion on the log scale used throughout:
-    fitted log-likelihood minus (dim/2) log n."""
+    fitted log-likelihood minus (dim/2) log n, for n >= 1."""
+    if n < 1:
+        raise TooFewSamples(f"BIC needs n >= 1 samples, got n = {n}")
     return loglik_hat - 0.5 * dim * math.log(n)
 
 

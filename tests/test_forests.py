@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from latentforest import (
     CycleError,
     DuplicateEdge,
     Forest,
+    ModelLattice,
     NotInLattice,
     ObservedDegreeError,
     TooLarge,
@@ -19,18 +21,13 @@ from latentforest import (
     canonicalize,
     connected_observed_pairs,
     edge,
-    em_fit,
     forest_from_json,
     model_dimension,
     q_forest,
     random_trivalent_tree,
-    rlct_forest_pair,
     sbic_all,
     steiner_subforest,
     subforest_lattice,
-    subtree_decomposition,
-    suff_stats_from_cov,
-    zero_part_monomials,
 )
 import latentforest.forests as forests_mod
 from latentforest.cli import main
@@ -195,79 +192,70 @@ class TestPathsAndComponents:
             )
 
 
-def direct_forest(edges, observed=("1", "2")) -> Forest:
-    """A Forest built without build_forest, so without its cycle check;
-    every node but the observed ones is latent."""
+def direct_fields(edges, observed=("1", "2")) -> dict:
+    """Forest fields for a direct ``Forest(...)`` call, not through
+    build_forest; every node but the observed ones is latent.  A pair
+    of one id is a self loop."""
     nodes = sorted({v for e in edges for v in e} | set(observed))
-    return Forest(nodes=tuple(nodes), latent=frozenset(nodes) - set(observed),
-                  edges=tuple(edge(*e) for e in edges))
+    return dict(nodes=tuple(nodes), latent=frozenset(nodes) - set(observed),
+                edges=tuple(frozenset(e) for e in edges))
 
 
 # a latent triangle a-b-c with leaf 1 on a; leaf 2 is isolated
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "1")]
 # the same triangle with leaves 1, 2 and 3, one on each corner
 CORNERS = TRIANGLE + [("b", "2"), ("c", "3")]
+# a latent square with a leaf on each corner: no node of degree 2
+SQUARE = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"),
+          ("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]
+
+# (fields, error, message) of forests that no construction admits
+INVALID = {
+    "triangle": (direct_fields(TRIANGLE), CycleError,
+                 r"^edge \['a', 'c'\] closes a cycle$"),
+    "corners": (direct_fields(CORNERS, observed=("1", "2", "3")), CycleError,
+                r"^edge \['a', 'c'\] closes a cycle$"),
+    # contracting c would merge a second a-b edge into the first
+    "parallel_edge": (direct_fields(TRIANGLE + [("b", "2")]), CycleError,
+                      r"^edge \['a', 'c'\] closes a cycle$"),
+    "latent_square": (direct_fields(SQUARE, observed=("1", "2", "3", "4")),
+                      CycleError, r"^edge \['a', 'd'\] closes a cycle$"),
+    "self_loop": (direct_fields([("a", "1"), ("a",)]), CycleError,
+                  "^self loop at node 'a'$"),
+    "undeclared_endpoint": (
+        dict(nodes=("1", "2"), latent=frozenset(), edges=(edge("1", "x"),)),
+        UnknownNode, "^edge endpoint 'x' was not declared$"),
+    "repeated_edge": (direct_fields([("a", "1"), ("a", "2"), ("1", "a")]),
+                      DuplicateEdge, r"^edge \['1', 'a'\] repeated$"),
+    "repeated_ids": (dict(nodes=("1", "2", "1"), latent=frozenset(), edges=()),
+                     ValueError, r"^duplicate node ids in \['1', '2', '1'\]$"),
+    "undeclared_latent": (
+        dict(nodes=("1", "2"), latent=frozenset({"h"}), edges=()),
+        UnknownNode, "^latent node 'h' was not declared$"),
+    "observed_degree_2": (direct_fields([("1", "2"), ("2", "3")],
+                                        observed=("1", "2", "3")),
+                          ObservedDegreeError, "^observed node '2' has degree 2$"),
+}
 
 
-class TestDirectCycles:
-    """Every walk over a cyclic Forest raises CycleError, not a loop."""
+class TestForestChecksItself:
+    """No Forest holds a cycle or breaks another invariant, so no
+    reader meets one: construction refuses it with a typed error."""
 
-    def test_component_of(self):
-        f = direct_forest(TRIANGLE)
-        with pytest.raises(CycleError, match="reachable from node '1'"):
-            f.component_of("1")
-        with pytest.raises(CycleError):
-            f.components()
-
-    def test_path(self):
-        with pytest.raises(CycleError):
-            direct_forest(TRIANGLE).path("1", "2")
-
-    def test_path_across_the_cycle(self):
-        # leaf 3 on c: the walk meets c from a and from b, which would
-        # leave c and b each other's parent; twelve isolated leaves keep
-        # the walk shorter than the node count
-        observed = ["1", "3"] + [f"x{i}" for i in range(12)]
-        f = direct_forest(TRIANGLE + [("c", "3")], observed=observed)
-        with pytest.raises(CycleError):
-            f.path("1", "3")
-        with pytest.raises(CycleError):
-            zero_part_monomials(f, direct_forest([], observed=observed))
-
-    def test_em_fit(self):
-        f = direct_forest(TRIANGLE)
-        stats = suff_stats_from_cov(np.eye(2), 50, names=f.observed)
-        with pytest.raises(CycleError):
-            em_fit(f, stats)
-
-    @pytest.mark.parametrize("call", [
-        lambda f, empty: rlct_forest_pair(f, empty),
-        lambda f, empty: subtree_decomposition(f, empty),
-        lambda f, empty: zero_part_monomials(f, empty),
-        lambda f, empty: model_dimension(f),
-        lambda f, empty: q_forest(f, [("1", "2")]),
-    ], ids=["rlct_forest_pair", "subtree_decomposition",
-            "zero_part_monomials", "model_dimension", "q_forest"])
-    def test_node_and_edge_readers(self, call):
-        # none of these needs a walk over the whole forest for its answer
-        observed = ("1", "2", "3")
-        with pytest.raises(CycleError):
-            call(direct_forest(CORNERS, observed=observed),
-                 direct_forest([], observed=observed))
-
-    def test_canonicalize_parallel_edge(self):
-        # contracting c would merge a second a-b edge into the first
-        f = direct_forest(TRIANGLE + [("b", "2")])
-        with pytest.raises(CycleError, match="'c', 'a' and 'b' form a cycle"):
-            canonicalize(f)
-
-    def test_canonicalize_cycle_of_degree_three(self):
-        # a latent square with a leaf on each corner: nothing contracts
-        square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
-        leaves = [("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]
-        f = direct_forest(square + leaves, observed=("1", "2", "3", "4"))
-        with pytest.raises(CycleError):
-            canonicalize(f)
+    @pytest.mark.parametrize("fields, error, match", INVALID.values(),
+                             ids=INVALID)
+    def test_invalid_fields_raise(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            Forest(**fields)
+        # dataclasses.replace goes through __init__ too: change the
+        # edges of a valid forest, or the nodes of one
+        if fields["edges"]:
+            valid = Forest(**{**fields, "edges": ()})
+            change = {"edges": fields["edges"]}
+        else:
+            valid, change = build_forest({"1": False, "2": False}, []), fields
+        with pytest.raises(error, match=match):
+            replace(valid, **change)
 
 
 class TestCanonicalize:
@@ -474,6 +462,23 @@ class TestLattice:
     def test_quartet_class_count(self, quartet):
         lat = subforest_lattice(quartet)
         assert len(lat.classes) == 13
+
+    def test_canonical_host(self, five_tree):
+        canon = canonicalize(five_tree)
+        lat = subforest_lattice(canon)
+        assert lat.host == canon.forest
+        assert ({c.code for c in lat.classes}
+                == {c.code for c in subforest_lattice(five_tree).classes})
+
+    @pytest.mark.parametrize("masks", [
+        "reversed", (0, 0), (-1, 0), (0, 1 << 7),
+    ], ids=["reversed", "repeated", "negative", "bit_beyond_edges"])
+    def test_masks_out_of_order_or_range(self, five_tree, masks):
+        lat = subforest_lattice(five_tree)
+        if masks == "reversed":
+            masks = lat.steiner_masks[::-1]
+        with pytest.raises(NotInLattice, match="increase strictly"):
+            ModelLattice(five_tree, masks)
 
     def test_five_tree_count_and_depth(self, five_tree):
         lat = subforest_lattice(five_tree)

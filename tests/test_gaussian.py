@@ -14,6 +14,7 @@ from latentforest import (
     EmConfig,
     ModelParams,
     NotPositiveDefinite,
+    TooFewSamples,
     UnknownNode,
     UnrealizablePattern,
     build_forest,
@@ -424,6 +425,24 @@ class TestLoglik:
         s = suff_stats_from_cov(cov, 17, names=["u", "v"])
         assert s.n == 17 and s.names == ("u", "v")
         assert np.array_equal(s.second_moment, cov)
+
+    def test_negative_n(self):
+        # n = -3 would flip the sign of every log-likelihood
+        with pytest.raises(TooFewSamples, match="n = -3"):
+            suff_stats_from_cov(np.eye(5), -3, names="12345")
+
+    def test_fractional_n(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            suff_stats_from_cov(np.eye(2), 2.5)
+
+    def test_one_row_of_data(self):
+        # a 1-D row would give a scalar second moment
+        with pytest.raises(ValueError, match="square matrix"):
+            suff_stats(np.arange(5.0))
+
+    def test_names_per_row(self):
+        with pytest.raises(ValueError, match="4 names for a second moment of 5"):
+            suff_stats_from_cov(np.eye(5), 10, names="1234")
 
 
 class TestKl:

@@ -111,6 +111,10 @@ class TestBic:
     def test_formula(self):
         assert bic(-12.0, 3, 100) == -12.0 - 1.5 * math.log(100)
 
+    def test_no_samples(self):
+        with pytest.raises(TooFewSamples, match="n = 0"):
+            bic(-12.0, 3, 0)
+
     def test_diagonal_lprime_is_bic(self):
         lat = subforest_lattice(quartet_tree())
         for j in range(len(lat)):
