@@ -2,6 +2,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,13 +22,18 @@ from latentforest import (
     canonicalize,
     connected_observed_pairs,
     edge,
+    em_fit,
     forest_from_json,
     model_dimension,
     q_forest,
     random_trivalent_tree,
+    rlct_forest_pair,
     sbic_all,
     steiner_subforest,
     subforest_lattice,
+    subtree_decomposition,
+    suff_stats_from_cov,
+    zero_part_monomials,
 )
 import latentforest.forests as forests_mod
 from latentforest.cli import main
@@ -256,6 +262,76 @@ class TestForestChecksItself:
             valid, change = build_forest({"1": False, "2": False}, []), fields
         with pytest.raises(error, match=match):
             replace(valid, **change)
+
+
+def refused_then_opened(edges, observed=("1", "2")) -> Forest:
+    """Check that the cyclic ``edges`` are refused with CycleError by
+    ``Forest(...)``, by ``dataclasses.replace`` and by build_forest, and
+    return the forest without the a-c edge that closes the cycle."""
+    fields = direct_fields(edges, observed)
+    with pytest.raises(CycleError, match=r"^edge \['a', 'c'\] closes a cycle$"):
+        Forest(**fields)
+    with pytest.raises(CycleError):
+        replace(Forest(**{**fields, "edges": ()}), edges=fields["edges"])
+    with pytest.raises(CycleError):
+        build_forest({v: v in fields["latent"] for v in fields["nodes"]}, edges)
+    opened = tuple(e for e in fields["edges"] if e != edge("a", "c"))
+    return Forest(**{**fields, "edges": opened})
+
+
+class TestDirectCycles:
+    """No reader meets a cyclic Forest: construction refuses it, and
+    each reader answers on the same forest with the cycle opened."""
+
+    def test_component_of(self):
+        f = refused_then_opened(TRIANGLE)
+        assert f.component_of("1") == {"1", "a", "b", "c"}
+        assert set(f.components()) == {frozenset({"1", "a", "b", "c"}),
+                                       frozenset({"2"})}
+
+    def test_path(self):
+        f = refused_then_opened(TRIANGLE)
+        assert f.path("1", "2") is None
+        assert f.path("1", "c") == (edge("a", "1"), edge("a", "b"),
+                                    edge("b", "c"))
+
+    def test_path_across_the_cycle(self):
+        # leaf 3 on c; twelve isolated leaves make the walk longer than
+        # the cycle, as they once kept it shorter than the node count
+        observed = ["1", "3"] + [f"x{i}" for i in range(12)]
+        f = refused_then_opened(TRIANGLE + [("c", "3")], observed=observed)
+        assert f.path("1", "3") == (edge("a", "1"), edge("a", "b"),
+                                    edge("b", "c"), edge("c", "3"))
+        empty = Forest(**direct_fields([], observed=observed))
+        assert zero_part_monomials(f, empty).dim == 4
+
+    def test_em_fit(self):
+        f = refused_then_opened(TRIANGLE)
+        stats = suff_stats_from_cov(np.eye(2), 50, names=f.observed)
+        # leaves 1 and 2 are independent with unit variance: the
+        # saturated Gaussian log-likelihood -n p (log 2 pi + 1) / 2
+        assert em_fit(f, stats).loglik == pytest.approx(
+            -50 * (np.log(2 * np.pi) + 1))
+
+    @pytest.mark.parametrize("call, check", [
+        (lambda f, empty: rlct_forest_pair(f, empty),
+         lambda r: r.as_tuple() == (Fraction(9, 2), 3)),
+        (lambda f, empty: subtree_decomposition(f, empty),
+         lambda r: [obs for _, obs in r] == [("1", "2", "3")]),
+        (lambda f, empty: zero_part_monomials(f, empty),
+         lambda r: r.dim == 5),
+        (lambda f, empty: model_dimension(f),
+         lambda r: r == 6),
+        (lambda f, empty: q_forest(f, [("1", "2")]),
+         lambda r: set(r.edges) == {edge("a", "b"), edge("a", "1"),
+                                    edge("b", "2")}),
+    ], ids=["rlct_forest_pair", "subtree_decomposition",
+            "zero_part_monomials", "model_dimension", "q_forest"])
+    def test_node_and_edge_readers(self, call, check):
+        # the tripod 1-a-b-2, b-c-3 once the cycle is opened
+        observed = ("1", "2", "3")
+        f = refused_then_opened(CORNERS, observed=observed)
+        assert check(call(f, Forest(**direct_fields([], observed=observed))))
 
 
 class TestCanonicalize:
