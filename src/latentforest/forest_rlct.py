@@ -10,8 +10,9 @@ where U* is the node set of F*.  The sum telescopes into degrees,
 
     sum w(e) = sum_{u in U*} (deg_F(u) - deg_F*(u)),
 
-so the pair threshold is computed in linear time.  The same quantity
-is exposed through an explicit monomial phase function on the removed
+so the pair threshold is read off two edge masks of one host in linear
+time, and a lattice pair builds no forest.  The same quantity is
+exposed through an explicit monomial phase function on the removed
 edges (one path monomial per leaf pair of each removed subtree), which
 the generic Newton-polyhedron engine can evaluate independently.
 
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .engine import MonomialSos, Rlct
 from .errors import LeafMismatch, NotSubforest
-from .forests import Forest, _as_forest, _find, model_dimension
+from .forests import Forest, _as_forest, _find, _incidence, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:
@@ -58,37 +59,31 @@ def _validate_pair(host: Forest, sub: Forest) -> None:
             )
 
 
-def _anchored_chain_nodes(host: Forest, ustar: set) -> int:
-    """Degree-2 nodes outside ``ustar`` on chains that reach ``ustar``."""
-    mid = {v for v in host.nodes if v not in ustar and host.degree(v) == 2}
-    count = 0
-    done: set[str] = set()
-    for v in mid:
-        if v in done:
-            continue
-        chain = {v}
-        anchored = False
-        for first in host.neighbors[v]:
-            prev, cur = v, first
-            while cur in mid:
-                chain.add(cur)
-                nxt = [u for u in host.neighbors[cur] if u != prev]
-                prev, cur = cur, nxt[0]
-            anchored = anchored or cur in ustar
-        done |= chain
-        if anchored:
-            count += len(chain)
-    return count
+def _mask_rlct(host: Forest, inc, sup: int, sub: int, dim: int) -> Rlct:
+    """Closed form of the edge mask ``sub`` inside ``sup`` of ``host``, given
+    each node's edge mask ``inc`` and ``dim`` = dim M(F*)."""
+    cut, anchor, sumw, mid = sup & ~sub, 0, 0, []
+    for v, m in inc.items():
+        if v not in host.latent or m & sub:  # v is in U*
+            anchor |= m & sup  # the sup edges that meet U*
+            sumw += (m & cut).bit_count()
+        elif (m & sup).bit_count() == 2:  # a degree-2 node outside U*
+            mid.append(m & sup)
+    parent = {b: b for m in mid for b in (m & -m, m & (m - 1))}  # a set per run
+    for m in mid:
+        parent[_find(parent, m & -m)] = _find(parent, m & (m - 1))
+    anchored = {_find(parent, m & -m) for m in mid if m & anchor}
+    chain = sum(_find(parent, m & -m) in anchored for m in mid)
+    return Rlct(Fraction(2 * dim + sumw, 2), 1 + chain)
 
 
 def rlct_forest_pair(host, sub) -> Rlct:
     """Threshold of the model pair (host forest, q-forest) in linear time."""
     host, sub = _as_forest(host), _as_forest(sub)
     _validate_pair(host, sub)
-    ustar = set(sub.nodes)
-    sumw = sum(host.degree(u) - sub.degree(u) for u in sub.nodes)
-    lam = Fraction(model_dimension(sub)) + Fraction(sumw, 2)
-    return Rlct(lam, 1 + _anchored_chain_nodes(host, ustar))
+    mask = sum(1 << b for b, e in enumerate(host.edges) if e in sub.edge_set)
+    return _mask_rlct(host, _incidence(host), (1 << len(host.edges)) - 1,
+                      mask, model_dimension(sub))
 
 
 def subtree_decomposition(host, sub) -> tuple[tuple[Forest, tuple[str, ...]], ...]:

@@ -91,10 +91,10 @@ class Forest:
 
     Each construction, ``dataclasses.replace`` too, checks the forest
     once, so readers do not: unique node ids (``ValueError``) that
-    include the latent ones (``UnknownNode``); edges, in turn, between
-    two declared (``UnknownNode``), distinct (``CycleError``) nodes,
-    none repeated (``DuplicateEdge``) or closing a cycle
-    (``CycleError``); observed degree at most 1 (``ObservedDegreeError``).
+    include the latent ones (``UnknownNode``); edges, in turn, frozensets
+    (``ValueError``) of two declared (``UnknownNode``), distinct
+    (``CycleError``) nodes, none repeated (``DuplicateEdge``) or closing a
+    cycle (``CycleError``); observed degree at most 1 (``ObservedDegreeError``).
     """
 
     nodes: tuple[str, ...]
@@ -109,6 +109,8 @@ class Forest:
         for v in sorted(self.latent - parent.keys()):
             raise UnknownNode(f"latent node {v!r} was not declared")
         for e in self.edges:
+            if not isinstance(e, frozenset):
+                raise ValueError(f"edge {e!r} is not a frozenset")
             try:
                 u, v = e
                 while u != (w := parent[u]):
@@ -507,12 +509,12 @@ class ModelLattice:
     top class last.  For the standard five-leaf example this numbering
     matches the conventional model numbers 1..34 shifted by one.  The
     rest is read off the masks: ``classes[i]``, the canonical forest of
-    mask i, is built when first read, and ``depth`` and ``dims`` when
-    first used.  A pruning chain is scored as the totally ordered
-    lattice of its classes, listed bottom up.  Masks that are not
-    strictly increasing, or that set a bit beyond the host edges, raise
-    ``NotInLattice``; that no mask leaves a latent leaf is the caller's
-    to keep.
+    mask i, is built when first read, and ``depth``, ``dims`` and the
+    host's per-node edge masks ``incidence`` when first used.  A pruning
+    chain is scored as the totally ordered lattice of its classes,
+    listed bottom up.  Masks that are not strictly increasing, or that
+    set a bit beyond the host edges, raise ``NotInLattice``; that no
+    mask leaves a latent leaf is the caller's to keep.
     """
 
     host: Forest
@@ -534,6 +536,11 @@ class ModelLattice:
         return _LazyClasses(self.host, self.steiner_masks)
 
     @cached_property
+    def incidence(self) -> dict[str, int]:
+        """Mask of the host edges at each host node."""
+        return _incidence(self.host)
+
+    @cached_property
     def depth(self) -> tuple[int, ...]:
         """Rank of each class: observed nodes minus components.
 
@@ -544,7 +551,7 @@ class ModelLattice:
         A mask has |observed| + (latent nodes it touches) - (its edges)
         components: its depth is its edge count minus those nodes.
         """
-        inc = _latent_incidence(self.host).values()
+        inc = [self.incidence[v] for v in self.host.latent]
         return tuple(m.bit_count() - sum(1 for x in inc if m & x)
                      for m in self.steiner_masks)
 
@@ -552,7 +559,7 @@ class ModelLattice:
     def dims(self) -> tuple[int, ...]:
         """Model dimension |V| + |E| - l2 of each class, read off its mask
         (l2: the latent nodes with exactly two mask edges)."""
-        inc = _latent_incidence(self.host).values()
+        inc = [self.incidence[v] for v in self.host.latent]
         return tuple(
             len(self.host.observed) + m.bit_count()
             - sum(1 for x in inc if (m & x).bit_count() == 2)
@@ -591,7 +598,7 @@ class ModelLattice:
         latent nodes left with one mask edge clears the whole run.
         Pairs come sorted by j, then by i.
         """
-        masks, inc = self.steiner_masks, _latent_incidence(self.host)
+        masks, inc = self.steiner_masks, self.incidence
         ends = [tuple(e & self.host.latent) for e in self.host.edges]
         index = {m: i for i, m in enumerate(masks)}
         out = []
@@ -620,11 +627,13 @@ class ModelLattice:
         )
 
 
-def _latent_incidence(host: Forest) -> dict[str, int]:
-    """Mask of the host edges at each latent node."""
-    bit = {e: 1 << b for b, e in enumerate(host.edges)}
-    return {v: sum(bit[edge(v, w)] for w in host.neighbors[v])
-            for v in host.latent}
+def _incidence(host: Forest) -> dict[str, int]:
+    """Mask of the host edges at each node, in ``host.nodes`` order."""
+    inc = dict.fromkeys(host.nodes, 0)
+    for b, e in enumerate(host.edges):
+        for v in e:
+            inc[v] |= 1 << b
+    return inc
 
 
 def _subforest_of_mask(host: Forest, mask: int) -> Forest:
@@ -680,7 +689,7 @@ def subforest_lattice(host: Forest | CanonicalForest) -> ModelLattice:
         raise ValueError(
             "host must be canonical (no latent node of degree <= 2)"
         )
-    incident = _latent_incidence(host)
+    incident = _incidence(host)
     masks = [0]
     for w, b in _leaves_first(host):
         up = 1 << b

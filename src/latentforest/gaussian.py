@@ -231,6 +231,8 @@ def sample(forest, params: ModelParams, n: int, seed=None) -> np.ndarray:
 
 def suff_stats(data, names=None, center: bool = False) -> SufficientStats:
     x = np.asarray(data, dtype=float)
+    if x.shape[:1] == (0,):  # no rows
+        raise TooFewSamples("stats need n >= 1 samples, got n = 0")
     if center:
         x = x - x.mean(axis=0)
     s = x.T @ x / len(x)

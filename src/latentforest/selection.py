@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import Rlct
 from .errors import NotComparable, NotInLattice, TooFewSamples
-from .forest_rlct import rlct_forest_pair
+from .forest_rlct import _mask_rlct
 from .forests import (
     CanonicalForest,
     Forest,
@@ -30,7 +30,6 @@ from .forests import (
     canonicalize,
     model_dimension,
     subforest_lattice,
-    _subforest_of_mask,
 )
 from .gaussian import EmConfig, ModelParams, SufficientStats, em_fit
 
@@ -47,10 +46,10 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     """Learning coefficient of class ``sub`` inside class ``sup``.
 
     Both arguments are lattice indices with sub <= sup in the lattice
-    order.  The pair is evaluated on the Steiner representative of the
-    superclass inside the host (degree-two chains intact), which is the
-    parameter space the superclass model actually uses there; the
-    subclass is its own Steiner mask, which lies inside that one.
+    order.  The closed form is read off the two Steiner masks in the
+    host, and no forest is built: the superclass is its mask with the
+    degree-two chains intact, which is the parameter space its model
+    actually uses there, and the subclass mask lies inside that one.
     Results are memoized on ``lattice.rlct_cache``.  An index that is
     not an integer in 0..len(lattice) - 1 raises ``NotInLattice``.
     """
@@ -61,16 +60,11 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
         raise NotComparable(
             f"class {sub} is not below class {sup} in the lattice"
         )
-    key = (sub, sup)
-    hit = lattice.rlct_cache.get(key)
-    if hit is not None:
-        return hit
-    host, masks = lattice.host, lattice.steiner_masks
-    out = rlct_forest_pair(
-        _subforest_of_mask(host, masks[sup]),
-        _subforest_of_mask(host, masks[sub]),
-    )
-    lattice.rlct_cache[key] = out
+    out = lattice.rlct_cache.get((sub, sup))
+    if out is None:
+        out = lattice.rlct_cache[sub, sup] = _mask_rlct(
+            lattice.host, lattice.incidence, lattice.steiner_masks[sup],
+            lattice.steiner_masks[sub], lattice.dims[sub])
     return out
 
 

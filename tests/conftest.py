@@ -97,6 +97,20 @@ def subdivide_leaf_edge(tree, tag, rng):
     return build_forest(nodes, edges)
 
 
+def latent_leaf_free_masks(host):
+    """Every edge mask of ``host`` in which no latent node has exactly
+    one edge, by testing all 2^|E| subsets in increasing order."""
+    incident = [
+        sum(1 << b for b, e in enumerate(host.edges) if v in e)
+        for v in host.latent
+    ]
+    return [
+        mask
+        for mask in range(1 << len(host.edges))
+        if not any((h := mask & inc) and not h & (h - 1) for inc in incident)
+    ]
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

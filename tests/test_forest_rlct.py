@@ -17,6 +17,7 @@ from latentforest import (
     laplace_rlct_estimate,
     lattice5_host,
     model_dimension,
+    pair_rlct,
     q_forest,
     random_trivalent_tree,
     rlct_forest_pair,
@@ -26,6 +27,9 @@ from latentforest import (
     subtree_decomposition,
     zero_part_monomials,
 )
+from latentforest.engine import Rlct
+from latentforest.forests import _subforest_of_mask
+from conftest import latent_leaf_free_masks, subdivide_leaf_edge
 
 F = Fraction
 
@@ -137,6 +141,92 @@ class TestPairThreshold:
         )
         with pytest.raises(NotSubforest):
             rlct_forest_pair(quartet, dangling)
+
+
+def walked_pair(host, sub) -> Rlct:
+    """The closed form by walking two forests: the degree sum over U*,
+    and the degree-2 nodes outside U* on chains that reach U*.  An
+    independent reference for the mask kernel."""
+    ustar = set(sub.nodes)
+    sumw = sum(host.degree(u) - sub.degree(u) for u in sub.nodes)
+    mid = {v for v in host.nodes if v not in ustar and host.degree(v) == 2}
+    count = 0
+    done: set[str] = set()
+    for v in mid:
+        if v in done:
+            continue
+        chain = {v}
+        anchored = False
+        for first in host.neighbors[v]:
+            prev, cur = v, first
+            while cur in mid:
+                chain.add(cur)
+                nxt = [u for u in host.neighbors[cur] if u != prev]
+                prev, cur = cur, nxt[0]
+            anchored = anchored or cur in ustar
+        done |= chain
+        if anchored:
+            count += len(chain)
+    return Rlct(F(model_dimension(sub)) + F(sumw, 2), 1 + count)
+
+
+def assert_same(got: Rlct, want: Rlct, msg):
+    assert type(got.lam) is F and type(got.mult) is int, msg
+    assert got.as_tuple() == want.as_tuple(), msg
+
+
+class TestMaskKernel:
+    """The mask kernel behind pair_rlct and rlct_forest_pair equals the
+    forest walk, exactly, with interior and anchored chains."""
+
+    def check_lattice(self, lat, pairs):
+        masks, host = lat.steiner_masks, lat.host
+        for i, j in pairs:
+            want = walked_pair(_subforest_of_mask(host, masks[j]),
+                               _subforest_of_mask(host, masks[i]))
+            assert_same(pair_rlct(lat, i, j), want, (i, j))
+
+    @pytest.mark.parametrize("host", [
+        pytest.param(lattice5_host(), id="five-leaf"),
+        pytest.param(random_trivalent_tree(7, 3), id="trivalent-7-3"),
+    ])
+    def test_every_comparable_pair(self, host):
+        lat = subforest_lattice(host)
+        self.check_lattice(lat, [(i, j) for j in range(len(lat))
+                                 for i in (*lat.strictly_below(j), j)])
+
+    def test_seeded_pairs_at_nine_leaves(self):
+        lat = subforest_lattice(random_trivalent_tree(9, 0))
+        rng = np.random.default_rng(9)
+        pairs = []
+        for j in rng.integers(len(lat), size=400):
+            below = lat.strictly_below(int(j))
+            pairs += [(int(i), int(j)) for i in rng.choice(
+                below + [int(j)], size=min(len(below) + 1, 5), replace=False)]
+        self.check_lattice(lat, pairs)
+
+    @pytest.mark.parametrize("m, k, seed", [(5, 1, 0), (5, 2, 1), (5, 3, 2),
+                                            (6, 2, 3)])
+    def test_forest_pairs_on_subdivided_hosts(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_trivalent_tree(m, seed)
+        for tag in range(k):
+            tree = subdivide_leaf_edge(tree, tag, rng)
+        masks = latent_leaf_free_masks(tree)
+        interior = anchored = 0
+        for sup in masks:
+            host = _subforest_of_mask(tree, sup)
+            for sub in masks:
+                if sub & ~sup:
+                    continue
+                forest = _subforest_of_mask(tree, sub)
+                want = walked_pair(host, forest)
+                assert_same(rlct_forest_pair(host, forest), want, (sup, sub))
+                mid = sum(1 for v in host.latent
+                          if v not in forest.latent and host.degree(v) == 2)
+                anchored += want.mult > 1
+                interior += mid > want.mult - 1
+        assert interior and anchored
 
 
 class TestSubtreeDecomposition:

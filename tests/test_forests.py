@@ -36,10 +36,16 @@ from latentforest import (
     zero_part_monomials,
 )
 import latentforest.forests as forests_mod
+import latentforest.selection as selection_mod
 from latentforest.cli import main
 from latentforest.forests import _subforest_of_mask
 from latentforest.selection import _drop_edge
-from conftest import random_forest, run_python, subdivide_leaf_edge
+from conftest import (
+    latent_leaf_free_masks,
+    random_forest,
+    run_python,
+    subdivide_leaf_edge,
+)
 
 
 def pattern_oracle(nodes, latent, edges):
@@ -241,6 +247,10 @@ INVALID = {
     "observed_degree_2": (direct_fields([("1", "2"), ("2", "3")],
                                         observed=("1", "2", "3")),
                           ObservedDegreeError, "^observed node '2' has degree 2$"),
+    # path would return frozensets that are not in edges
+    "tuple_edge": (dict(nodes=("1", "2", "h"), latent=frozenset({"h"}),
+                        edges=(("h", "1"), ("h", "2"))),
+                   ValueError, r"^edge \('h', '1'\) is not a frozenset$"),
 }
 
 
@@ -648,11 +658,15 @@ class TestLattice:
 
     def test_sbic_all_canonicalizes_nothing(self, five_tree, monkeypatch):
         calls = _spy_canonicalize(monkeypatch)
+        # pair scoring reads masks: it builds no forest of a mask either
+        built = _spy(monkeypatch, "_subforest_of_mask",
+                     (forests_mod, selection_mod))
         lat = subforest_lattice(five_tree)
         table = sbic_all(lat, [-float(len(lat) - j) for j in range(len(lat))],
                          100)
         assert [r.dim for r in table.rows] == list(lat.dims)
         assert calls == []
+        assert built == []
 
     def test_lattice_command_canonicalizes_nothing(
         self, five_tree, tmp_path, capsys, monkeypatch
@@ -796,31 +810,25 @@ def test_dims_match_model_dimension(host):
     assert list(lat.dims) == [model_dimension(c) for c in lat.classes]
 
 
-def _spy_canonicalize(monkeypatch):
-    """Record each forest that ``forests.canonicalize`` is called on."""
+def _spy(monkeypatch, name, modules=(forests_mod,)):
+    """Record the first argument of each call of ``forests.<name>`` made
+    through any of ``modules`` that holds the name."""
     calls = []
-    real = forests_mod.canonicalize
+    real = getattr(forests_mod, name)
 
-    def spy(f):
+    def spy(f, *rest):
         calls.append(f)
-        return real(f)
+        return real(f, *rest)
 
-    monkeypatch.setattr(forests_mod, "canonicalize", spy)
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, spy)
     return calls
 
 
-def latent_leaf_free_masks(host):
-    """Every edge mask of ``host`` in which no latent node has exactly
-    one edge, by testing all 2^|E| subsets in increasing order."""
-    incident = [
-        sum(1 << b for b, e in enumerate(host.edges) if v in e)
-        for v in host.latent
-    ]
-    return [
-        mask
-        for mask in range(1 << len(host.edges))
-        if not any((h := mask & inc) and not h & (h - 1) for inc in incident)
-    ]
+def _spy_canonicalize(monkeypatch):
+    """Record each forest that ``forests.canonicalize`` is called on."""
+    return _spy(monkeypatch, "canonicalize")
 
 
 @pytest.mark.parametrize("host", _oracle_hosts())

@@ -440,6 +440,14 @@ class TestLoglik:
         with pytest.raises(ValueError, match="square matrix"):
             suff_stats(np.arange(5.0))
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_zero_rows_raise_before_dividing(self, center):
+        # numpy's divide and empty-mean warnings would come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewSamples, match="n = 0"):
+                suff_stats(np.zeros((0, 3)), center=center)
+
     def test_names_per_row(self):
         with pytest.raises(ValueError, match="4 names for a second moment of 5"):
             suff_stats_from_cov(np.eye(5), 10, names="1234")
