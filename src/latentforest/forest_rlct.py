@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .engine import MonomialSos, Rlct
 from .errors import LeafMismatch, NotSubforest
-from .forests import Forest, _as_forest, _find, _incidence, model_dimension
+from .forests import Forest, _as_forest, _find, model_dimension
 
 
 def _validate_pair(host: Forest, sub: Forest) -> None:
@@ -59,11 +59,11 @@ def _validate_pair(host: Forest, sub: Forest) -> None:
             )
 
 
-def _mask_rlct(host: Forest, inc, sup: int, sub: int, dim: int) -> Rlct:
-    """Closed form of the edge mask ``sub`` inside ``sup`` of ``host``, given
-    each node's edge mask ``inc`` and ``dim`` = dim M(F*)."""
+def _mask_rlct(host: Forest, sup: int, sub: int, dim: int) -> Rlct:
+    """Closed form of the edge mask ``sub`` inside ``sup`` of ``host``,
+    given ``dim`` = dim M(F*)."""
     cut, anchor, sumw, mid = sup & ~sub, 0, 0, []
-    for v, m in inc.items():
+    for v, m in host.incidence.items():
         if v not in host.latent or m & sub:  # v is in U*
             anchor |= m & sup  # the sup edges that meet U*
             sumw += (m & cut).bit_count()
@@ -82,8 +82,8 @@ def rlct_forest_pair(host, sub) -> Rlct:
     host, sub = _as_forest(host), _as_forest(sub)
     _validate_pair(host, sub)
     mask = sum(1 << b for b, e in enumerate(host.edges) if e in sub.edge_set)
-    return _mask_rlct(host, _incidence(host), (1 << len(host.edges)) - 1,
-                      mask, model_dimension(sub))
+    return _mask_rlct(host, (1 << len(host.edges)) - 1, mask,
+                      model_dimension(sub))
 
 
 def subtree_decomposition(host, sub) -> tuple[tuple[Forest, tuple[str, ...]], ...]:

@@ -87,7 +87,8 @@ class Forest:
     ``nodes`` keeps the declared order, which also fixes the order of
     observed nodes used by covariance matrices and sample columns.
     ``edges`` keeps the declared order, which fixes bit positions in
-    lattice edge-subset codes.
+    lattice edge-subset codes and in ``incidence``, each node's mask of
+    edges, built once per forest like ``neighbors``.
 
     Each construction, ``dataclasses.replace`` too, checks the forest
     once, so readers do not: unique node ids (``ValueError``) that
@@ -156,6 +157,15 @@ class Forest:
     @cached_property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
+
+    @cached_property
+    def incidence(self) -> dict[str, int]:
+        """Mask of the edges at each node, in ``nodes`` order."""
+        inc = dict.fromkeys(self.nodes, 0)
+        for b, e in enumerate(self.edges):
+            for v in e:
+                inc[v] |= 1 << b
+        return inc
 
     def component_of(self, v: str) -> frozenset:
         """Node set of the connected component containing ``v``."""
@@ -509,8 +519,9 @@ class ModelLattice:
     top class last.  For the standard five-leaf example this numbering
     matches the conventional model numbers 1..34 shifted by one.  The
     rest is read off the masks: ``classes[i]``, the canonical forest of
-    mask i, is built when first read, and ``depth``, ``dims`` and the
-    host's per-node edge masks ``incidence`` when first used.  A pruning
+    mask i, is built when first read, and ``depth`` and ``dims`` when
+    first used, from the host's per-node edge masks ``host.incidence``,
+    which every lattice of that host object shares.  A pruning
     chain is scored as the totally ordered lattice of its classes,
     listed bottom up.  Masks that are not strictly increasing, or that
     set a bit beyond the host edges, raise ``NotInLattice``; that no
@@ -536,11 +547,6 @@ class ModelLattice:
         return _LazyClasses(self.host, self.steiner_masks)
 
     @cached_property
-    def incidence(self) -> dict[str, int]:
-        """Mask of the host edges at each host node."""
-        return _incidence(self.host)
-
-    @cached_property
     def depth(self) -> tuple[int, ...]:
         """Rank of each class: observed nodes minus components.
 
@@ -551,7 +557,7 @@ class ModelLattice:
         A mask has |observed| + (latent nodes it touches) - (its edges)
         components: its depth is its edge count minus those nodes.
         """
-        inc = [self.incidence[v] for v in self.host.latent]
+        inc = [self.host.incidence[v] for v in self.host.latent]
         return tuple(m.bit_count() - sum(1 for x in inc if m & x)
                      for m in self.steiner_masks)
 
@@ -559,7 +565,7 @@ class ModelLattice:
     def dims(self) -> tuple[int, ...]:
         """Model dimension |V| + |E| - l2 of each class, read off its mask
         (l2: the latent nodes with exactly two mask edges)."""
-        inc = [self.incidence[v] for v in self.host.latent]
+        inc = [self.host.incidence[v] for v in self.host.latent]
         return tuple(
             len(self.host.observed) + m.bit_count()
             - sum(1 for x in inc if (m & x).bit_count() == 2)
@@ -598,7 +604,7 @@ class ModelLattice:
         latent nodes left with one mask edge clears the whole run.
         Pairs come sorted by j, then by i.
         """
-        masks, inc = self.steiner_masks, self.incidence
+        masks, inc = self.steiner_masks, self.host.incidence
         ends = [tuple(e & self.host.latent) for e in self.host.edges]
         index = {m: i for i, m in enumerate(masks)}
         out = []
@@ -627,15 +633,6 @@ class ModelLattice:
         )
 
 
-def _incidence(host: Forest) -> dict[str, int]:
-    """Mask of the host edges at each node, in ``host.nodes`` order."""
-    inc = dict.fromkeys(host.nodes, 0)
-    for b, e in enumerate(host.edges):
-        for v in e:
-            inc[v] |= 1 << b
-    return inc
-
-
 def _subforest_of_mask(host: Forest, mask: int) -> Forest:
     edges = tuple(e for b, e in enumerate(host.edges) if (mask >> b) & 1)
     touched = set().union(*edges) if edges else set()
@@ -644,20 +641,20 @@ def _subforest_of_mask(host: Forest, mask: int) -> Forest:
 
 
 def _leaves_first(host: Forest) -> list[tuple[str, int]]:
-    """``(node, bit of its edge toward the root)`` for every non-root node.
+    """``(node, mask of its edge toward the root)`` for every non-root node.
 
     Each component is rooted at its first observed node and walked
     breadth first; the list is reversed, so a node comes after all the
     nodes below it.
     """
-    bit = {e: b for b, e in enumerate(host.edges)}
+    inc = host.incidence
     steps: list[tuple[str, int]] = []
     seen: set[str] = set()
     for root in host.observed:
         if root not in seen:
             for w, v in _walk(host.neighbors, root):
                 seen.add(w)
-                steps.append((w, bit[edge(v, w)]))
+                steps.append((w, inc[w] & inc[v]))
     return steps[::-1]
 
 
@@ -689,14 +686,12 @@ def subforest_lattice(host: Forest | CanonicalForest) -> ModelLattice:
         raise ValueError(
             "host must be canonical (no latent node of degree <= 2)"
         )
-    incident = _incidence(host)
     masks = [0]
-    for w, b in _leaves_first(host):
-        up = 1 << b
+    for w, up in _leaves_first(host):
         if w not in host.latent:
             masks = [x for m in masks for x in (m, m | up)]
         else:
-            below = incident[w] & ~up
+            below = host.incidence[w] & ~up
             grown: list[int] = []
             for m in masks:
                 hit = m & below

@@ -112,9 +112,6 @@ class EmResult:
     iters: int
     converged: bool
 
-    def __iter__(self):
-        return iter((self.params, self.loglik, self.iters))
-
 
 def _validate_params(f: Forest, params: ModelParams) -> None:
     for v in f.observed:

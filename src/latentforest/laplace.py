@@ -38,9 +38,10 @@ Each folded block then takes one of three routes.
   stage.  In 2-D the same rule runs along every row of an outer rule.
   A callable phase function is one block and is never reduced.
 * Monte Carlo.  Larger blocks use stratified Monte Carlo with points
-  shared across the grid.  The grid increases, so a point whose weight
-  exp(-n H) has underflowed to 0.0 stays there, and each n only weighs
-  the points still live.
+  shared across the grid, weighed by the quadrature's rule (a weight
+  below exp(-700) counts as 0.0).  The grid increases, so a point
+  whose weight is 0.0 stays there, and each n only weighs the points
+  still live.
 
 Either way the regression sees a smooth function of n rather than
 independent errors.  An estimate reports ``method`` "monte_carlo" when
@@ -107,9 +108,6 @@ _SQRT_PI_2 = math.sqrt(math.pi) / 2
 # 1.0 in double precision from _ERF_ONE on
 _UNDERFLOW = 700.0
 _ERF_ONE = 6.0
-# exp(x) itself is exactly 0.0 for x <= _EXP_ZERO (the log of half the
-# least subnormal)
-_EXP_ZERO = -1075 * math.log(2.0)
 # points per slab of the line integrals, small enough to stay in cache
 _CHUNK = 4096
 # a panel is accepted once |K15 - G7| is at most _TOL of its row's
@@ -209,12 +207,13 @@ def _restrict(terms, coords):
 
 
 def _weights(h0, ns):
-    """exp(-n h0) for each point and n, and where it is above exp(-700).
+    """exp(-n h0) for each point and each n of ns (or the one n ns),
+    and where it is above exp(-700).
 
     Weights below that count as 0.0: clipping first keeps numpy's exp
     off its slow subnormal and underflow path.
     """
-    w = np.multiply.outer(-h0, ns)
+    w = np.multiply.outer(h0, -ns)
     live = w > -_UNDERFLOW
     np.maximum(w, -_UNDERFLOW, out=w)
     np.exp(w, out=w)
@@ -569,39 +568,26 @@ def _mc_points(box, count: int, rng) -> np.ndarray:
     d = len(box)
     if d <= 3:
         k = max(2, int(round(count ** (1.0 / d))))
-        u = rng.random((k**d, d))
+        # each draw plus its cell index along its axis, shrunk to [0, 1)
+        u = rng.random((k**d, d)).T + np.indices((k,) * d).reshape(d, -1)
+        u /= k
     else:
-        u = rng.random((count, d))
-    pts = np.empty((d, len(u)))
-    for j, (lo, hi) in enumerate(box):
-        col = pts[j]
-        if d <= 3:
-            # add the cell index along axis j, then shrink to [0, 1)
-            along_j = [k if i == j else 1 for i in range(d)]
-            np.add(
-                u[:, j].reshape((k,) * d),
-                np.arange(k).reshape(along_j),
-                out=col.reshape((k,) * d),
-            )
-            col /= k
-        else:
-            col[:] = u[:, j]
-        col *= hi - lo
-        col += lo
-    return pts.T
+        u = rng.random((count, d)).T.copy()
+    lo, hi = np.array(box).T
+    u *= (hi - lo)[:, None]
+    u += lo[:, None]
+    return u.T
 
 
 def _mc_block(h, box, ns: np.ndarray, count: int, rng):
     """Monte Carlo exp(-n h) over box for each n in ns, with relative errors.
 
-    Both arrays are 0.0 from the first n whose mass underflows.  As in
-    ``_weights``, a weight below exp(-700) counts as 0.0, which keeps
-    numpy's exp off its slow subnormal path; each such weight is far
-    below the last bit of the sums it enters.  ns increases, so a point
-    whose weight exp(-n h) is exactly 0.0 in double precision at one n
-    stays 0.0 at every larger n: only the other points go on to the
-    next n.  The mean still divides by every point, and each dropped
-    point adds its (0 - mean)^2 to the variance.
+    Both arrays are 0.0 from the first n whose mass underflows.  Points
+    are weighed by ``_weights``, so a weight below exp(-700) counts as
+    0.0.  ns increases, so a point dead at one n stays dead at every
+    larger n: only the live points go on to the next n.  The mean still
+    divides by every point, and each dropped point adds its
+    (0 - mean)^2 to the variance.
     """
     live = h(_mc_points(box, count, rng))
     total = live.size
@@ -609,12 +595,7 @@ def _mc_block(h, box, ns: np.ndarray, count: int, rng):
     z = np.zeros(len(ns))
     se = np.zeros(len(ns))
     for gi, n in enumerate(ns):
-        w = np.multiply(live, -n)
-        keep = w > _EXP_ZERO
-        dead = w <= -_UNDERFLOW
-        np.maximum(w, -_UNDERFLOW, out=w)
-        np.exp(w, out=w)
-        w[dead] = 0.0
+        w, keep = _weights(live, n)
         mean = float(w.sum()) / total
         if mean <= 0.0:
             break
@@ -622,8 +603,7 @@ def _mc_block(h, box, ns: np.ndarray, count: int, rng):
         var = (float(w @ w) + (total - live.size) * mean * mean) / total
         se[gi] = math.sqrt(var) / math.sqrt(total) / mean
         z[gi] = vol * mean
-        if not keep.all():
-            live = live[keep]
+        live = live[keep]
     return z, se
 
 

@@ -54,7 +54,9 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     not an integer in 0..len(lattice) - 1 raises ``NotInLattice``.
     """
     for i in (sub, sup):
-        if not (isinstance(i, numbers.Integral) and 0 <= i < len(lattice)):
+        # a Python int skips the slower ABC check
+        if not ((type(i) is int or isinstance(i, numbers.Integral))
+                and 0 <= i < len(lattice)):
             raise NotInLattice(f"class index {i!r} is outside 0..{len(lattice) - 1}")
     if not lattice.leq(sub, sup):
         raise NotComparable(
@@ -63,7 +65,7 @@ def pair_rlct(lattice: ModelLattice, sub: int, sup: int) -> Rlct:
     out = lattice.rlct_cache.get((sub, sup))
     if out is None:
         out = lattice.rlct_cache[sub, sup] = _mask_rlct(
-            lattice.host, lattice.incidence, lattice.steiner_masks[sup],
+            lattice.host, lattice.steiner_masks[sup],
             lattice.steiner_masks[sub], lattice.dims[sub])
     return out
 

@@ -6,7 +6,8 @@ lattices, the certificate LPs of the m = 16 and m = 32 zero parts, and
 the refusal of a star whose lattice is too large.  They also run
 ``select`` on the five-leaf host at the default EM settings, its
 pruning chain there and with one edge subdivided, smoke runs of both
-simulation protocols and ``scripts/run_laplace_checks.py``.
+simulation protocols, ``scripts/run_laplace_checks.py`` and
+``scripts/layers.py``.
 """
 import csv
 import json
@@ -24,7 +25,7 @@ from latentforest import (
     sample,
     zero_part_monomials,
 )
-from conftest import python_process, run_python
+from conftest import SRC, python_process, run_python
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -140,6 +141,18 @@ def test_simulate_smoke_counts(tmp_path):
     # whose chain recovered the truth
     assert set(count_totals(tmp_path / "depth.csv").values()) <= {0, 1}
     assert (tmp_path / "hasse.csv").read_text().startswith("sub,sup\n")
+
+
+def test_layers_script_tiny():
+    # both sides are this checkout, so every probe runs on both
+    got = json.loads(run_python(
+        [str(SCRIPTS / "layers.py"), SRC, SRC, "--tiny"], 0))
+    rows = got["summary"]
+    assert got["rounds"] == 1 and len(rows) == 9, sorted(rows)
+    assert sum(name.startswith("_mc_block ") for name in rows) == 4
+    for row in rows.values():
+        assert row["parent"]["median"] > 0 and row["change"]["median"] > 0
+        assert row["change_faster_rounds"] in (0, 1)
 
 
 def test_laplace_checks_script(tmp_path):

@@ -810,6 +810,31 @@ def test_dims_match_model_dimension(host):
     assert list(lat.dims) == [model_dimension(c) for c in lat.classes]
 
 
+def brute_force_incidence(f):
+    return {v: sum(1 << b for b, e in enumerate(f.edges) if v in e)
+            for v in f.nodes}
+
+
+@pytest.mark.parametrize("host", _oracle_hosts())
+def test_incidence_matches_brute_force(host):
+    lat = subforest_lattice(host)
+    for f in [host, *(_subforest_of_mask(host, m) for m in lat.steiner_masks)]:
+        inc = f.incidence
+        assert inc == brute_force_incidence(f)
+        assert list(inc) == list(f.nodes)
+        for e in f.edges:
+            u, v = e
+            assert inc[u] & inc[v] == 1 << f.edges.index(e)
+
+
+def test_replaced_forest_has_its_own_incidence():
+    f = random_trivalent_tree(5, 0)
+    inc = f.incidence
+    g = replace(f, edges=f.edges[::-1])
+    assert g.incidence == brute_force_incidence(g) != inc
+    assert f.incidence is inc
+
+
 def _spy(monkeypatch, name, modules=(forests_mod,)):
     """Record the first argument of each call of ``forests.<name>`` made
     through any of ``modules`` that holds the name."""

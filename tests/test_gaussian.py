@@ -740,13 +740,6 @@ class TestEm:
         res = em_fit(three_star, suff_stats(x), EmConfig(restarts=1, max_iter=5))
         assert math.isfinite(res.loglik)
 
-    def test_result_unpacks(self, three_star):
-        x = np.random.default_rng(14).normal(size=(20, 3))
-        res = em_fit(three_star, suff_stats(x), EmConfig(restarts=1))
-        params, ll, iters = res
-        assert params is res.params
-        assert ll == res.loglik and iters == res.iters
-
 
 class TestEmMatchesReference:
     """The plain map equals the dict-based oracle exactly, step by step;

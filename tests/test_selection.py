@@ -179,6 +179,12 @@ class TestPairRlct:
             pair_rlct(lat, sub, sup)
         assert not lat.rlct_cache
 
+    def test_numpy_integer_indices(self):
+        lat = subforest_lattice(star3())
+        got = pair_rlct(lat, np.int64(0), np.int64(4))
+        assert got.as_tuple() == (__import__("fractions").Fraction(9, 2), 1)
+        assert pair_rlct(lat, 0, 4) is got
+
     def test_memoized(self):
         lat = subforest_lattice(star3())
         first = pair_rlct(lat, 0, 4)
