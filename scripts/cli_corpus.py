@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Digests of the command line tool's output on a fixed corpus of 30 runs.
+"""Digests of the command line tool's output on a fixed corpus of 36 runs.
 
 Each run is a fresh ``python -m latentforest.cli`` process on the
 checkout's own sources, with PYTHONHASHSEED=0 (or ``--hashseed``) and
 OPENBLAS_NUM_THREADS=1, working in a temporary directory that holds its
-inputs.  The corpus:
+inputs.  The corpus runs all six subcommands, each plain and with
+``--json``:
 
+* ``rlct forest`` of the lattice5 truth forest inside the five-leaf
+  host (lambda=11 mult=1);
+* ``rlct mono`` of the three-star H_q at a correlated q (lambda=6
+  mult=1), which solves the engine's nonzero-part LP;
+* ``fit`` of the five-leaf host to its samples, at the default EM
+  settings;
 * ``lattice``, plain and ``--json``, on the five-leaf host and on
   ``random_trivalent_tree`` (7, 3), (9, 1) and (10, 10);
 * ``select``, exhaustive and chain, bic and sbic, plain and ``--json``,
@@ -45,10 +52,17 @@ sys.path.insert(0, str(ROOT / "src"))
 from latentforest import (  # noqa: E402
     ModelParams,
     build_forest,
+    h_q_monomials,
     lattice5_host,
+    lattice5_truth_index,
     random_trivalent_tree,
     sample,
+    steiner_subforest,
+    subforest_lattice,
 )
+
+# a correlated q for the three-star: every pair of leaves correlated
+STAR_Q = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.25], [0.2, 0.25, 1.0]])
 
 
 def subdivided_host():
@@ -69,8 +83,14 @@ def write_inputs(tmp: Path) -> None:
         "t10s10": random_trivalent_tree(10, 10),
         "a5-subdivided": subdivided_host(),
     }
+    lat = subforest_lattice(hosts["five-leaf"])
+    hosts["lattice5-truth"] = steiner_subforest(
+        hosts["five-leaf"], lat.classes[lattice5_truth_index(lat)])
     for name, f in hosts.items():
         (tmp / f"{name}.json").write_text(f.to_json())
+    star = build_forest([("1", False), ("2", False), ("3", False), ("h", True)],
+                        [("h", "1"), ("h", "2"), ("h", "3")])
+    (tmp / "star-q.json").write_text(h_q_monomials(star, STAR_Q).to_json())
     for name in ("five-leaf", "t7s3", "a5-subdivided"):
         f = hosts[name]
         params = ModelParams(leaf_var={v: 1.0 for v in f.observed},
@@ -87,6 +107,13 @@ def write_inputs(tmp: Path) -> None:
 def corpus() -> list[list[str]]:
     """The argv of every run, paths relative to the input directory."""
     runs = []
+    for argv in (
+        ["rlct", "forest", "--host", "five-leaf.json", "--sub",
+         "lattice5-truth.json"],
+        ["rlct", "mono", "--in", "star-q.json"],
+        ["fit", "--forest", "five-leaf.json", "--data", "five-leaf.csv"],
+    ):
+        runs += [argv, argv + ["--json"]]
     for host in ("five-leaf", "t7s3", "t9s1", "t10s10"):
         runs += [["lattice", "--tree", f"{host}.json", *js]
                  for js in ([], ["--json"])]

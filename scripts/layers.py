@@ -32,6 +32,11 @@ Probes:
   10**6 points over the default grid;
 * ``three-star estimate``: ``laplace_rlct_estimate`` of the identity
   H_q of the three-star, as the ``symbolic`` workload runs it;
+* ``STAR_Q estimate``: the same at ``STAR_Q`` of
+  ``tests/test_laplace.py``, a q with every pair of leaves correlated,
+  whose edge block is reduced along sloped lines (``_sloped_piece``);
+* ``four-star estimate``: the identity H_q of the four-star at
+  ``LaplaceConfig(seed=0)``, whose edge block is sampled by Monte Carlo;
 * ``subforest_lattice m=12``: ``random_trivalent_tree(12, 0)``, its
   host copied before each call;
 * ``canonicalize caterpillar(200)``: the ``symbolic`` workload's
@@ -60,6 +65,7 @@ def probes(tiny: bool):
     import numpy as np
 
     from latentforest import (
+        LaplaceConfig,
         ModelLattice,
         MonomialSos,
         build_forest,
@@ -135,6 +141,14 @@ def probes(tiny: bool):
 
     sos = h_q_monomials(star, np.eye(3))
     yield "three-star estimate", 5, none, lambda _: laplace_rlct_estimate(sos)
+    star_q = h_q_monomials(
+        star, np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.25], [0.2, 0.25, 1.0]]))
+    yield "STAR_Q estimate", 3, none, lambda _: laplace_rlct_estimate(star_q)
+    four = build_forest([(str(i), False) for i in range(1, 5)] + [("h", True)],
+                        [("h", str(i)) for i in range(1, 5)])
+    four_sos, cfg = h_q_monomials(four, np.eye(4)), LaplaceConfig(seed=0)
+    yield ("four-star estimate", 3, none,
+           lambda _: laplace_rlct_estimate(four_sos, cfg=cfg))
 
     m = 8 if tiny else 12
     tree = random_trivalent_tree(m, 0)

@@ -160,13 +160,15 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for key in ("replicates", "master_seed"):
-            if not isinstance(getattr(self, key), numbers.Integral):
+            v = getattr(self, key)
+            if type(v) is bool or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{key} must be an integer")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for key in ("n_values", "m"):
             values = getattr(self, key)
-            if not isinstance(values, (list, tuple)) or not all(
+            listed = isinstance(values, (list, tuple))
+            if not listed or bool in map(type, values) or not all(
                 isinstance(v, numbers.Integral)
                 or isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)
                 for v in values

@@ -98,7 +98,7 @@ class EmConfig:
     def __post_init__(self):
         for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
             v = getattr(self, key)
-            if not isinstance(v, numbers.Integral) or v < low:
+            if type(v) is bool or not isinstance(v, numbers.Integral) or v < low:
                 raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
         if not 0 <= self.rel_tol < math.inf:
             raise ValueError(

@@ -130,7 +130,7 @@ class LaplaceConfig:
     def __post_init__(self):
         for key, low in (("mc_points", 1), ("seed", 0)):
             v = getattr(self, key)
-            if not isinstance(v, numbers.Integral) or v < low:
+            if type(v) is bool or not isinstance(v, numbers.Integral) or v < low:
                 raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
 
 
@@ -619,113 +619,98 @@ def laplace_rlct_estimate(
     plain callable mapping an (N, d) array of points to H values, whose
     box ``domain`` is then required and which is treated as one block.
     The zero set of H must meet the box, the box must be bounded, and
-    every grid n must be at least 2.
+    the grid must be at least 3 increasing integers >= 2.
     """
     cfg = cfg or LaplaceConfig()
-    grid = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
-    if len(grid) < 3 or sorted(set(grid)) != list(grid) or grid[0] < 2:
+    grid = tuple(n_grid if n_grid is not None else DEFAULT_N_GRID)
+    if (len(grid) < 3 or not all(isinstance(n, numbers.Integral) for n in grid)
+            or sorted(set(grid)) != list(grid) or grid[0] < 2):
         raise ValueError("n grid must be at least 3 increasing integers >= 2")
+    grid = tuple(int(n) for n in grid)
 
     if isinstance(h, MonomialSos):
         if domain is not None:
             raise ValueError("a MonomialSos is integrated over its own domain")
-        box = list(h.domain)
-        dim = h.dim
+        domain = h.domain
         const = sum((1.0 - c) ** 2 for u, c in h.terms if not any(u))
-        live = [(u, c) for u, c in h.terms if any(u)]
-        blocks = _blocks(live, dim)
+        blocks = _blocks(h.terms, h.dim)  # a constant term joins nothing
+        phase = None  # each block is built from the terms below
+    elif domain is None:
+        raise ValueError("a callable phase function needs a domain")
     else:
-        if domain is None:
-            raise ValueError("a callable phase function needs a domain")
-        box = list(domain)
-        dim = len(box)
-        const = 0.0
-        blocks = [list(range(dim))]
+        const, domain = 0.0, list(domain)  # any iterable of windows
+        blocks = [list(range(len(domain)))]
+        phase = lambda pts: np.asarray(h(pts), dtype=float)
 
-    if dim > MAX_DIM:
+    if len(domain) > MAX_DIM:
         raise IntegrationFailure(
-            f"dimension {dim} exceeds the numeric bound {MAX_DIM}"
+            f"dimension {len(domain)} exceeds the numeric bound {MAX_DIM}"
         )
-    for lo, hi in box:
+    for lo, hi in domain:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise IntegrationFailure("integration box must be bounded")
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    box = [(float(lo), float(hi)) for lo, hi in domain]
 
     rng = np.random.default_rng(cfg.seed)
     ns = np.asarray(grid, dtype=float)
     log_z = -ns * const
-    used_mc = stopped_short = False
-    worst_se = 0.0
+    stopped_short = False
+    worst_se = None  # stays None unless a block is sampled
     # quadrature values by block: equal sub-systems are integrated once
     shared: dict = {}
 
     for coords in blocks:
         sub_box = [box[i] for i in coords]
-        if isinstance(h, MonomialSos):
-            hb = MonomialSos(len(coords), tuple(_restrict(live, coords)), sub_box)
+        hb, orbit, left = phase, 1.0, len(coords)
+        if phase is None:
+            hb = MonomialSos(len(coords), tuple(_restrict(h.terms, coords)), sub_box)
             if not hb.terms:
                 log_z += sum(math.log(hi - lo) for lo, hi in sub_box)
                 continue
             folded = _fold(hb)
-            if folded:
-                sub_box = [
-                    (0.0, hi) if i in folded else (lo, hi)
-                    for i, (lo, hi) in enumerate(sub_box)
-                ]
-                hb = MonomialSos(hb.dim, hb.terms, sub_box)
+            for i in folded:
+                sub_box[i] = (0.0, sub_box[i][1])
+            hb = MonomialSos(hb.dim, hb.terms, sub_box)
             # the block is 2^k copies of its folded part: an exact scaling
             orbit = 2.0 ** len(folded)
-            left = len(coords) - (_linear_coord(hb) is not None)
-        else:
-            hb = lambda pts: np.asarray(h(pts), dtype=float)  # one block
-            orbit = 1.0
-            left = len(coords)
+            left -= _linear_coord(hb) is not None
 
-        if left <= QUAD_MAX_DIM:
+        quad = left <= QUAD_MAX_DIM
+        if quad:
             if hb not in shared:
                 shared[hb] = _quad_block(hb, sub_box, ns)
             vals, short = shared[hb]
             stopped_short |= short
-            bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
-            if bad.size:
-                raise IntegrationFailure(
-                    f"quadrature underflow at n={grid[bad[0]]} "
-                    f"(block {coords})"
-                )
         else:
-            used_mc = True
             vals, se = _mc_block(hb, sub_box, ns, cfg.mc_points, rng)
-            bad = np.flatnonzero(vals <= 0.0)
-            if bad.size:
-                raise IntegrationFailure(
-                    f"Monte Carlo mass underflow at n={grid[bad[0]]} "
-                    f"(block {coords})"
-                )
-            worst_se = max(worst_se, *se)
+            worst_se = max(worst_se or 0.0, *se)
+        bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+        if bad.size:
+            raise IntegrationFailure(
+                f"{'quadrature' if quad else 'Monte Carlo mass'} underflow "
+                f"at n={grid[bad[0]]} (block {coords})"
+            )
         log_z += np.log(vals * orbit)
 
     logn = np.log(ns)
     loglogn = np.log(logn)
-    best = None
-    rss_table = []
+    design = np.column_stack([np.ones_like(logn), logn])
+    fits = []
     for mc in M_CANDIDATES:
         y = log_z - (mc - 1) * loglogn
-        design = np.column_stack([np.ones_like(logn), logn])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
-        rss = float(resid @ resid)
-        rss_table.append((int(mc), rss))
-        if best is None or rss < best[0]:
-            best = (rss, int(mc), float(coef[1]), resid)
-    _, mult_hat, slope, resid = best
+        fits.append((float(resid @ resid), mc, float(coef[1]), resid))
+    # min keeps the first of equal values: a tie goes to the smaller mult
+    _, mult_hat, slope, resid = min(fits, key=lambda fit: fit[0])
     return LaplaceEstimate(
         lambda_hat=max(0.0, -2.0 * slope),
         mult_hat=mult_hat,
         n_grid=grid,
         residuals=tuple(float(r) for r in resid),
-        method="monte_carlo" if used_mc else "quadrature",
+        method="quadrature" if worst_se is None else "monte_carlo",
         log_z=tuple(float(v) for v in log_z),
-        rss_by_mult=tuple(rss_table),
-        mc_std_err=worst_se if used_mc else None,
+        rss_by_mult=tuple((mc, rss) for rss, mc, *_ in fits),
+        mc_std_err=worst_se,
         stopped_short=stopped_short,
     )

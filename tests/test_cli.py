@@ -524,6 +524,12 @@ class TestErrors:
             {"kind": "lattice5", "n_values": [1e400]},
             {"kind": "lattice5", "n_values": [125.5]},
             {"kind": "depth_comparison", "m": ["6"]},
+            {"kind": "lattice5", "replicates": True, "n_values": [50]},
+            {"kind": "lattice5", "master_seed": False, "replicates": 1,
+             "n_values": [50]},
+            {"kind": "lattice5", "m": [True, 6], "replicates": 1,
+             "n_values": [50]},
+            {"kind": "lattice5", "n_values": [True, 125]},
         ],
     )
     def test_malformed_simulate_config(self, tmp_path, capsys, config):

@@ -148,7 +148,7 @@ def test_layers_script_tiny():
     got = json.loads(run_python(
         [str(SCRIPTS / "layers.py"), SRC, SRC, "--tiny"], 0))
     rows = got["summary"]
-    assert got["rounds"] == 1 and len(rows) == 9, sorted(rows)
+    assert got["rounds"] == 1 and len(rows) == 11, sorted(rows)
     assert sum(name.startswith("_mc_block ") for name in rows) == 4
     for row in rows.values():
         assert row["parent"]["median"] > 0 and row["change"]["median"] > 0

@@ -612,6 +612,9 @@ class TestEmConfig:
             ({"rel_tol": -1e-9}, "rel_tol"),
             ({"seed": -1}, "seed"),
             ({"seed": 1.5}, "seed"),
+            ({"restarts": True}, "restarts"),
+            ({"max_iter": True}, "max_iter"),
+            ({"seed": False}, "seed"),
         ],
     )
     def test_bad_settings_name_their_field(self, kwargs, field):

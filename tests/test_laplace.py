@@ -282,13 +282,36 @@ class TestFailurePaths:
             laplace_rlct_estimate(h, n_grid=(300, 200, 100))
         with pytest.raises(ValueError):
             laplace_rlct_estimate(h, n_grid=(1, 5, 10))
+        for grid in [(100.5, 1000, 10000), ("100", "1000", "10000"),
+                     (2.9, 10, 100), (True, 10, 100), (100, True, 1000)]:
+            with pytest.raises(ValueError, match="n grid"):
+                laplace_rlct_estimate(h, n_grid=grid)
+        got = laplace_rlct_estimate(h, n_grid=np.array([100, 1000, 10000]))
+        assert got.n_grid == (100, 1000, 10000)
+        assert all(type(n) is int for n in got.n_grid)
 
-    @pytest.mark.parametrize("points", [0, -5, 2.5])
+    @pytest.mark.parametrize(
+        "d, route", [(2, "quadrature"), (3, "Monte Carlo mass")]
+    )
+    def test_nan_values_raise_at_first_n(self, d, route):
+        # NaN where x0 > 0.9; the rest of the box has mass at every n
+        def fn(pts):
+            return np.where(pts[:, 0] > 0.9, np.nan, (pts ** 2).sum(axis=1))
+
+        block = ", ".join(map(str, range(d)))
+        match = rf"^{route} underflow at n=100 \(block \[{block}\]\)$"
+        with pytest.raises(IntegrationFailure, match=match):
+            laplace_rlct_estimate(
+                fn, [(0.0, 1.0)] * d, n_grid=GRID7,
+                cfg=LaplaceConfig(mc_points=10**4),
+            )
+
+    @pytest.mark.parametrize("points", [0, -5, 2.5, True])
     def test_mc_points_validated(self, points):
         with pytest.raises(ValueError, match="mc_points"):
             LaplaceConfig(mc_points=points)
 
-    @pytest.mark.parametrize("seed", [1.5, -1])
+    @pytest.mark.parametrize("seed", [1.5, -1, False])
     def test_seed_validated(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             LaplaceConfig(seed=seed)
@@ -312,6 +335,29 @@ class TestFailurePaths:
             )
 
 
+class TestBookkeeping:
+    """What the pipeline adds to log Z_n besides its integrated blocks."""
+
+    HYPERBOLA = sos([((1, 1), 0.25)], [(-1.0, 1.0)] * 2)
+
+    @pytest.mark.parametrize("c", [0.0, 0.7, 1.0, 2.5])
+    def test_constant_term(self, c):
+        base = self.HYPERBOLA
+        got = laplace_rlct_estimate(sos([*base.terms, ((0, 0), c)], base.domain))
+        n = np.asarray(DEFAULT_N_GRID, dtype=float)
+        want = np.array(laplace_rlct_estimate(base).log_z) - n * (1.0 - c) ** 2
+        assert np.allclose(got.log_z, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (-2.0, 3.0), (0.5, 0.75)])
+    def test_untouched_coordinate(self, window):
+        got = laplace_rlct_estimate(
+            sos([((1, 0, 1), 0.25)], [(-1.0, 1.0), window, (-1.0, 1.0)])
+        )
+        want = (np.array(laplace_rlct_estimate(self.HYPERBOLA).log_z)
+                + math.log(window[1] - window[0]))
+        assert np.allclose(got.log_z, want, rtol=1e-12, atol=0)
+
+
 class TestInterfaces:
     def test_callable_agrees_with_terms(self):
         h = sos([((1,), 0.3)], [(0.0, 1.0)])
@@ -323,6 +369,15 @@ class TestInterfaces:
         )
         assert a.lambda_hat == pytest.approx(b.lambda_hat, rel=1e-6)
         assert np.allclose(a.log_z, b.log_z, atol=1e-8)
+
+    def test_domain_is_read_once(self):
+        # a generator of windows is read once, into the box
+        def fn(pts):
+            return (pts[:, 0] * pts[:, 1] - 0.2) ** 2
+
+        box = [(0.0, 1.0), (0.0, 2.0)]
+        want = laplace_rlct_estimate(fn, box, n_grid=GRID7)
+        assert laplace_rlct_estimate(fn, iter(box), n_grid=GRID7) == want
 
     def test_monte_carlo_seed_determinism(self):
         h, box = mc_form(sos([((1, 1, 1), 0.1)], [(0.0, 1.0)] * 3))
